@@ -81,12 +81,13 @@ def _base_config(scenario: str, args: argparse.Namespace) -> SimConfig:
             overrides["seed"] = args.seed
         return replace(cfg, **overrides) if overrides else cfg
     make = grid_config if scenario == "grid" else arterial_config
+    q, steps, seed = (getattr(args, k, None) for k in ("q", "steps", "seed"))
     return make(
-        q=args.q if getattr(args, "q", None) is not None else 0.1,
+        q=0.1 if q is None else q,
         alpha=getattr(args, "alpha", None),
         strategy=getattr(args, "strategy", None) or "hca",
-        horizon=getattr(args, "steps", None) or 3600,
-        seed=getattr(args, "seed", None) or 0,
+        horizon=3600 if steps is None else steps,
+        seed=0 if seed is None else seed,
     )
 
 

@@ -7,7 +7,8 @@ Step order, fixed by contract:
 2. lane occupancy and differential backlog are recomputed;
 3. every intersection selects its next phase from the fresh backlogs and the
    previous step's neighbor states;
-4. the chosen phases are written back to per-lane signal indications.
+4. the chosen phases are written back to per-lane signal indications (only
+   the lanes of intersections whose phase changed are rewritten).
 
 Stop delay then accumulates: one unit per vehicle standing still at the end
 of the step, not counting vehicles placed this step.
@@ -68,23 +69,15 @@ def count_stopped(
 ) -> int:
     """Vehicles standing still, optionally only within the last ``window``
     cells of each lane, skipping the given (freshly injected) ids."""
-    total = 0
-    for li, lst in enumerate(state.lane_vehicles):
-        if window is not None:
-            cutoff = state.lane_lengths[li] - window
-            if exclude_ids:
-                total += sum(
-                    1
-                    for v in lst
-                    if v.speed == 0 and v.cell >= cutoff and v.id not in exclude_ids
-                )
-            else:
-                total += sum(1 for v in lst if v.speed == 0 and v.cell >= cutoff)
-        elif exclude_ids:
-            total += sum(1 for v in lst if v.speed == 0 and v.id not in exclude_ids)
-        else:
-            total += sum(1 for v in lst if v.speed == 0)
-    return total
+    lengths = state.lane_lengths
+    # Without a window every cell counts: a cutoff of 0 admits them all.
+    cutoff = [0] * len(lengths) if window is None else [n - window for n in lengths]
+    return sum(
+        1
+        for li, lst in enumerate(state.lane_vehicles)
+        for v in lst
+        if v.speed == 0 and v.cell >= cutoff[li] and v.id not in exclude_ids
+    )
 
 
 class Simulation:
@@ -132,12 +125,15 @@ class Simulation:
         self.occupancy = compute_occupancy(self.state)
         self.backlog = compute_backlog(self.occupancy, self.topology)
 
-        self.node_states = self.selector.select(
-            self.topology, self.backlog, self.node_states
-        )
-        self.gamma = apply_signal_indications(
-            [st.pi for st in self.node_states], self.topology
-        )
+        states = self.selector.select(self.topology, self.backlog, self.node_states)
+        gamma = self.gamma
+        for node, old, new in zip(self.topology.intersections, self.node_states, states):
+            if old.pi != new.pi:
+                for li in node.phases[old.pi]:
+                    gamma[li] = 0
+                for li in node.phases[new.pi]:
+                    gamma[li] = 1
+        self.node_states = states
 
         self.last_stopped = count_stopped(
             self.state, cfg.stop_window, frozenset(placed) if placed else frozenset()

@@ -128,7 +128,10 @@ def welch_one_sided(
             return -math.inf, 1.0
         return 0.0, 0.5
     t = (mean_a - mean_b) / math.sqrt(se2)
-    df = se2 * se2 / (va * va / (n_a - 1) + vb * vb / (n_b - 1))
+    # Welch-Satterthwaite df from the variance shares, which sum to 1: the
+    # squared variances themselves can underflow to 0 while se2 > 0.
+    ra, rb = va / se2, vb / se2
+    df = 1.0 / (ra * ra / (n_a - 1) + rb * rb / (n_b - 1))
     return t, float(_student_t.sf(t, df))
 
 

@@ -16,20 +16,25 @@ def compute_backlog(occupancy: Sequence[int], topology: NetworkTopology) -> list
     """Differential backlog per lane.
 
     A lane's backlog is the exit-weighted sum of its occupancy surplus over
-    each successor lane; lanes leaving the network have no successors and
-    carry a backlog of zero.
+    each successor lane, accumulated left to right from 0.0 in exit order
+    (``sum()`` of floats is compensated since Python 3.12); lanes leaving the
+    network have no successors and carry a backlog of zero.
     """
     out: list[float] = []
-    for li, lane in enumerate(topology.lanes):
-        o_l = occupancy[li]
-        out.append(sum(w * (o_l - occupancy[t]) for t, w in lane.exits))
+    for o_l, lane in zip(occupancy, topology.lanes):
+        total = 0.0
+        for t, w in lane.exits:
+            total += w * (o_l - occupancy[t])
+        out.append(total)
     return out
 
 
 def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -> list[int]:
     """Green/red bit per lane under the given active phase of each intersection.
 
-    Lanes that leave the network have no signal and always read green.
+    Lanes that leave the network have no signal and always read green.  The
+    engine calls this once, at construction; afterwards it rewrites only the
+    bits of intersections whose phase changed.
     """
     gamma = [1] * len(topology.lanes)
     for li, lane in enumerate(topology.lanes):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 
@@ -74,6 +75,26 @@ class IntersectionDescriptor:
     phases: tuple[tuple[int, ...], ...]
     neighbors: tuple[tuple[int, int], ...] = ()
     compatibility: frozenset[tuple[int, int, int]] = frozenset()
+
+    @cached_property
+    def coordination_table(self) -> tuple[tuple[int, int, dict[int, tuple[int, ...]]], ...]:
+        """``(neighbor, travel, {neighbor_phase: own phases})`` per neighbor.
+
+        ``compatibility`` regrouped in one pass, so the own phases a
+        neighbor's running phase feeds are a single lookup away.  Neighbors
+        that feed no phase, and triples naming no phase of this node, are
+        left out: they can never raise a priority.  Built on first use and
+        cached on the descriptor.
+        """
+        feeds: dict[int, dict[int, list[int]]] = {}
+        for nbr, nbr_phase, own in self.compatibility:
+            if 0 <= own < len(self.phases):
+                feeds.setdefault(nbr, {}).setdefault(nbr_phase, []).append(own)
+        return tuple(
+            (nbr, travel, {k: tuple(v) for k, v in feeds[nbr].items()})
+            for nbr, travel in self.neighbors
+            if nbr in feeds
+        )
 
 
 @dataclass(frozen=True)
@@ -217,6 +238,8 @@ class SimConfig:
             raise ConfigError(f"alpha={self.alpha}: must be >= 0")
         if self.horizon < 1:
             raise ConfigError(f"horizon={self.horizon}: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed}: must be >= 0")
         if self.min_green < 0:
             raise ConfigError(f"min_green={self.min_green}: must be >= 0")
         if self.stop_window is not None and self.stop_window < 1:

@@ -23,8 +23,15 @@ from .model import (
 
 
 def phase_pressure(phase: Sequence[int], backlog: Sequence[float]) -> float:
-    """Total differential backlog over the lanes a phase serves."""
-    return sum(backlog[l] for l in phase)
+    """Total differential backlog over the lanes a phase serves.
+
+    Accumulated left to right from 0.0, so the value does not depend on the
+    Python version (``sum()`` of floats is compensated since 3.12).
+    """
+    total = 0.0
+    for l in phase:
+        total += backlog[l]
+    return total
 
 
 def coordination_f(tau_neighbor: int, travel_time: int, compatible: bool) -> float:
@@ -35,6 +42,26 @@ def coordination_f(tau_neighbor: int, travel_time: int, compatible: bool) -> flo
     pairs score minus infinity so they can never win the maximum.
     """
     return float(tau_neighbor - travel_time) if compatible else float("-inf")
+
+
+def _priorities(
+    node: IntersectionDescriptor, neighbor_states: Sequence[IntersectionState]
+) -> list[float]:
+    """Coordination priority of every phase of ``node``, floored at zero.
+
+    Reads :attr:`IntersectionDescriptor.coordination_table`: each neighbor's
+    running phase looks up the own phases it feeds, which then take that
+    neighbor's arrival score ``tau - travel`` if it beats their best so far.
+    """
+    best = [0.0] * len(node.phases)
+    for nbr, travel, feeds in node.coordination_table:
+        st = neighbor_states[nbr]
+        score = st.tau - travel
+        if score > 0:
+            for own in feeds.get(st.pi, ()):
+                if score > best[own]:
+                    best[own] = float(score)
+    return best
 
 
 def coordination_priority(
@@ -52,14 +79,38 @@ def coordination_priority(
     whose neighbors all run incompatible phases) would carry a -inf score
     that overrides arbitrarily large queue pressure whenever alpha > 0.
     """
-    best = float("-inf")
-    compat = node.compatibility
-    for nbr, travel in node.neighbors:
-        st = neighbor_states[nbr]
-        f = coordination_f(st.tau, travel, (nbr, st.pi, phase) in compat)
-        if f > best:
-            best = f
-    return best if best > 0.0 else 0.0
+    return _priorities(node, neighbor_states)[phase]
+
+
+def _next_states(
+    nodes: Sequence[IntersectionDescriptor],
+    currents: Sequence[IntersectionState],
+    backlog: Sequence[float],
+    neighbor_states: Sequence[IntersectionState],
+    alpha: float,
+    min_green: int,
+) -> list[IntersectionState]:
+    """The selection rule of :func:`select_phase`, over a run of nodes.
+
+    With ``alpha`` at zero the coordination term is not evaluated at all.
+    """
+    out: list[IntersectionState] = []
+    for node, current in zip(nodes, currents):
+        pi, tau = current.pi, current.tau
+        if tau < min_green:
+            out.append(IntersectionState(pi, tau + 1))
+            continue
+        scores = [phase_pressure(lanes, backlog) for lanes in node.phases]
+        if alpha:
+            for idx, prio in enumerate(_priorities(node, neighbor_states)):
+                scores[idx] += alpha * prio
+        best = max(scores)
+        chosen = pi if scores[pi] == best else scores.index(best)
+        if chosen == pi:
+            out.append(IntersectionState(pi, tau + 1))
+        else:
+            out.append(IntersectionState(chosen, 0))
+    return out
 
 
 def select_phase(
@@ -72,24 +123,14 @@ def select_phase(
 ) -> IntersectionState:
     """Next (phase, elapsed) pair for one intersection.
 
-    The incumbent phase keeps running on a score tie; otherwise the lowest
-    phase index among the maxima wins.  ``tau`` is the elapsed time since
-    activation: 0 on the step a phase comes up, incremented on every held
-    step.  While ``tau`` is below ``min_green`` the incumbent is held
-    without scoring.
+    Each phase scores its pressure plus ``alpha`` times its coordination
+    priority.  The incumbent phase keeps running on a score tie; otherwise
+    the lowest phase index among the maxima wins.  ``tau`` is the elapsed
+    time since activation: 0 on the step a phase comes up, incremented on
+    every held step.  While ``tau`` is below ``min_green`` the incumbent is
+    held without scoring.
     """
-    if current.tau < min_green:
-        return IntersectionState(current.pi, current.tau + 1)
-    scores = [
-        phase_pressure(phase, backlog)
-        + alpha * coordination_priority(node, idx, neighbor_states)
-        for idx, phase in enumerate(node.phases)
-    ]
-    best = max(scores)
-    chosen = current.pi if scores[current.pi] == best else scores.index(best)
-    if chosen == current.pi:
-        return IntersectionState(chosen, current.tau + 1)
-    return IntersectionState(chosen, 0)
+    return _next_states((node,), (current,), backlog, neighbor_states, alpha, min_green)[0]
 
 
 class AdaptiveSelector:
@@ -107,10 +148,9 @@ class AdaptiveSelector:
     ) -> list[IntersectionState]:
         # `states` is the previous step's snapshot for every node, so all
         # intersections decide against the same picture.
-        return [
-            select_phase(node, backlog, states, states[i], self.alpha, self.min_green)
-            for i, node in enumerate(topology.intersections)
-        ]
+        return _next_states(
+            topology.intersections, states, backlog, states, self.alpha, self.min_green
+        )
 
 
 class FixedTimeSelector:

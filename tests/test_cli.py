@@ -70,6 +70,20 @@ def test_zero_alpha_step_is_config_error(capsys):
     assert "must be > 0" in capsys.readouterr().err
 
 
+def test_zero_steps_is_config_error_not_default_horizon(capsys):
+    # 0 is a value, not "unset": it must not fall back to the 3600-step default
+    assert main(["run", "--steps", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "horizon=0" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_is_config_error(capsys):
+    assert main(["run", "--seed", "-1", "--steps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed=-1" in err
+
+
 # --- run subcommand ----------------------------------------------------------------
 
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +23,7 @@ from hcasim import (
     run,
     trace_columns,
 )
-from netgen import random_config
+from netgen import random_config, random_topology
 from reference import RefSim
 
 from conftest import cross_topology, state_with
@@ -229,6 +232,26 @@ def test_lockstep_with_reference_on_arterial():
     _lockstep(arterial_config(q=0.15, horizon=200, seed=13), 200)
 
 
+@pytest.mark.parametrize("seed", [11, 47, 89, 97])
+def test_lockstep_with_reference_under_min_green_and_stop_window(seed):
+    # random_config never sets either knob; draw them from a stream of their own
+    rng = random.Random(seed)
+    cfg = replace(
+        random_config(seed), min_green=rng.randint(1, 6), stop_window=rng.randint(1, 8)
+    )
+    _lockstep(cfg, 200)
+
+
+def test_lockstep_with_reference_on_grid_with_min_green_and_stop_window():
+    _lockstep(grid_config(q=0.15, horizon=200, seed=19, min_green=4, stop_window=10), 200)
+
+
+def test_lockstep_with_reference_on_arterial_with_min_green_and_stop_window():
+    _lockstep(
+        arterial_config(q=0.2, horizon=200, seed=29, min_green=5, stop_window=6), 200
+    )
+
+
 def test_known_run_regression():
     # pinned end-to-end totals; digest intentionally unpinned (it may change
     # with config schema evolution, the physics must not)
@@ -242,3 +265,43 @@ def test_known_run_regression():
 def test_invariant_checking_runs_clean():
     cfg = grid_config(q=0.2, horizon=150, seed=8)
     run(cfg, check_invariants=True)
+
+
+# --- pinned behaviour -----------------------------------------------------------
+# Whole records and trace bytes, fixed before the level-2/3 tables were
+# compiled.  A change to any of them is a change to the simulated dynamics.
+
+
+@pytest.mark.parametrize(
+    "make,expect",
+    [
+        (
+            lambda: grid_config(q=0.1, alpha=1.0, seed=7, strategy="hca"),
+            MetricsRecord(28029, 2893, 2798, 95, 3600, 7, "0c89ff6f62316db5"),
+        ),
+        (
+            lambda: arterial_config(
+                q=0.15, alpha=1.0, seed=3, strategy="hca", min_green=5, stop_window=10
+            ),
+            MetricsRecord(5851, 812, 788, 24, 3600, 3, "f546db4530d3484e"),
+        ),
+        (
+            # netgen seed 17: four nodes, five lanes with two-way exit splits
+            lambda: SimConfig(random_topology(17), q=0.3, alpha=1.0, seed=17, horizon=2000),
+            MetricsRecord(31670, 3538, 3485, 53, 2000, 17, "5006a4b4291af459"),
+        ),
+    ],
+    ids=["grid4-hca", "arterial-min-green-window", "netgen17-splits"],
+)
+def test_pinned_records(make, expect):
+    assert run(make()) == expect
+
+
+def test_pinned_trace_digest(tmp_path):
+    path = tmp_path / "trace.csv"
+    run(grid_config(q=0.15, alpha=1.0, seed=5, horizon=200), trace=str(path))
+    data = path.read_bytes()
+    assert len(data) == 113722
+    assert hashlib.sha256(data).hexdigest() == (
+        "c5f1111b3f7b844d6fe048790fb43b8920da70a17e5a37772dcf07faf971531f"
+    )

@@ -108,6 +108,14 @@ def test_welch_degenerate_zero_variance(ma, mb, expect):
     assert welch_one_sided(ma, 0.0, 3, mb, 0.0, 3) == expect
 
 
+def test_welch_subnormal_variance_stays_finite():
+    # vb is subnormal, so vb * vb underflows to 0 while se2 > 0: the
+    # Welch-Satterthwaite df must come from ratios, not squared variances
+    t, p = welch_one_sided(0, 0, 2, 1.0, 2.5e-161, 2)
+    assert math.isfinite(t) and t < 0
+    assert math.isfinite(p) and p == 1.0
+
+
 def test_welch_requires_two_runs():
     with pytest.raises(ValueError, match="at least two runs"):
         welch_one_sided(1.0, 0.0, 1, 2.0, 1.0, 5)

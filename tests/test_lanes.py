@@ -6,7 +6,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from hcasim import (
+    IntersectionDescriptor,
+    LaneDescriptor,
     LaneState,
+    NetworkTopology,
     apply_signal_indications,
     compute_backlog,
     compute_occupancy,
@@ -53,6 +56,23 @@ def test_backlog_zero_for_exit_lanes(fork):
     delta = compute_backlog(compute_occupancy(state), fork)
     # network-exit lanes have no successors, so no surplus to measure
     assert delta[2] == 0.0
+    assert delta[4] == 0.0
+
+
+def test_backlog_accumulates_exit_terms_left_to_right():
+    # terms 2.4, 1.2, 0.4 sum to 3.9999999999999996 added in exit order from
+    # 0.0; a compensated sum (Python 3.12's sum()) would give 4.0
+    lanes = (
+        LaneDescriptor(10, None, 0, ((1, 0.6), (2, 0.3), (3, 0.1))),
+        LaneDescriptor(10, 0, None),
+        LaneDescriptor(10, 0, None),
+        LaneDescriptor(10, 0, None),
+        LaneDescriptor(10, None, 0, ((1, 1.0),)),
+    )
+    node = IntersectionDescriptor(inbound_lanes=(0, 4), phases=((0,), (4,)))
+    topo = NetworkTopology(lanes, (node,), ((0, 0), (4, 0)))
+    delta = compute_backlog([4, 0, 0, 0, 0], topo)
+    assert delta[0] == 3.9999999999999996
     assert delta[4] == 0.0
 
 

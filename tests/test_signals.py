@@ -23,6 +23,7 @@ from hcasim import (
     select_phase,
 )
 from conftest import cross_topology
+from netgen import random_topology
 
 
 def _node(phases, neighbors=(), compat=()):
@@ -36,6 +37,19 @@ def _node(phases, neighbors=(), compat=()):
 def test_phase_pressure_sums_served_lanes():
     assert phase_pressure((0, 2), [1.5, 9.0, -0.5, 4.0]) == 1.0
     assert phase_pressure((), [1.0, 2.0]) == 0.0
+
+
+def test_phase_pressure_accumulates_left_to_right():
+    # ((0.0 + 0.1) + 0.2) + 0.3; a compensated sum (Python 3.12's sum()) gives 0.6
+    assert phase_pressure((0, 1, 2), [0.1, 0.2, 0.3]) == 0.6000000000000001
+
+
+def test_select_scores_three_lane_phase_left_to_right():
+    # phase 0 scores 0.6000000000000001 and strictly beats the incumbent's
+    # 0.6; under a compensated sum the two would tie and the incumbent stay
+    node = _node([(0, 1, 2), (3,)])
+    out = select_phase(node, [0.1, 0.2, 0.3, 0.6], [], IntersectionState(1, 4), alpha=0.0)
+    assert out == IntersectionState(0, 0)
 
 
 # --- coordination score from one neighbor ---------------------------------
@@ -90,11 +104,40 @@ def test_priority_zero_without_neighbors():
     assert coordination_priority(node, 0, []) == 0.0
 
 
+def test_priority_ignores_triples_naming_no_own_phase():
+    # -1 and 2 are not phases of this two-phase node; neither may credit one
+    node = _node([(0,), (1,)], neighbors=((0, 20),), compat={(0, 0, -1), (0, 0, 2)})
+    states = [IntersectionState(0, 30)]
+    assert [coordination_priority(node, ph, states) for ph in (0, 1)] == [0.0, 0.0]
+
+
 def test_priority_floors_finite_negative_scores():
     # best raw score is 10 - 20 = -10; the clamp keeps it from acting as a veto
     node = _node([(0,), (1,)], neighbors=((0, 20),), compat={(0, 0, 0)})
     states = [IntersectionState(0, 10)]
     assert coordination_priority(node, 0, states) == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_coordination_table_matches_brute_force(seed, data):
+    # the compiled (neighbor, travel, {neighbor phase: own phases}) table must
+    # give max(tau - travel) over compatible neighbors, floored at 0
+    topo = random_topology(seed)
+    states = [
+        IntersectionState(
+            data.draw(st.integers(0, len(node.phases) - 1)), data.draw(st.integers(0, 40))
+        )
+        for node in topo.intersections
+    ]
+    for node in topo.intersections:
+        for phase in range(len(node.phases)):
+            raw = [
+                states[nbr].tau - travel
+                for nbr, travel in node.neighbors
+                if (nbr, states[nbr].pi, phase) in node.compatibility
+            ]
+            assert coordination_priority(node, phase, states) == max(raw + [0])
 
 
 # --- single-node phase selection -------------------------------------------

@@ -25,13 +25,12 @@ from .experiments import (
     write_metrics_csv,
     write_sweep_csv,
 )
-from .lanes import apply_signal_indications, compute_backlog, compute_occupancy, lane_states
+from .lanes import apply_signal_indications, compute_backlog, compute_occupancy
 from .model import (
     ConfigError,
     IntersectionDescriptor,
     IntersectionState,
     LaneDescriptor,
-    LaneState,
     Level1State,
     NetworkTopology,
     SimConfig,
@@ -55,7 +54,6 @@ from .signals import (
     AdaptiveSelector,
     FixedTimeSelector,
     controller_strategy,
-    coordination_f,
     coordination_priority,
     phase_pressure,
     select_phase,
@@ -79,7 +77,6 @@ __all__ = [
     "IntersectionDescriptor",
     "IntersectionState",
     "LaneDescriptor",
-    "LaneState",
     "Level1State",
     "MetricsRecord",
     "NetworkTopology",
@@ -105,12 +102,10 @@ __all__ = [
     "compute_occupancy",
     "config_digest",
     "controller_strategy",
-    "coordination_f",
     "coordination_priority",
     "count_stopped",
     "derive_compatibility",
     "grid_config",
-    "lane_states",
     "load_config",
     "phase_pressure",
     "pick_exit",

@@ -13,13 +13,16 @@ Exit codes: 0 success, 1 usage, 2 bad configuration, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
+from typing import Callable
 
 from .engine import MetricsRecord, run
 from .experiments import (
     SweepError,
+    SweepResult,
     compare_strategies,
     summarize_comparison,
     sweep_alpha,
@@ -29,7 +32,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .model import ConfigError, SimConfig, SimulationError
-from .scenarios import arterial_config, grid_config, load_config, tuned_alpha
+from .scenarios import arterial_config, grid_config, load_config
 
 _DEFAULT_Q_LIST = "0.05,0.075,0.1,0.125,0.15"
 _DEFAULT_JOBS = os.cpu_count() or 1
@@ -60,35 +63,39 @@ def _q_list_arg(value: str) -> tuple[float, ...]:
         ) from None
 
 
-def _base_config(scenario: str, args: argparse.Namespace) -> SimConfig:
-    """Resolve --scenario plus overriding flags into a configuration."""
-    if scenario.startswith("file:"):
+# flag -> SimConfig field; a flag that was given replaces the scenario's value
+_OVERRIDES = {
+    "q": "q", "alpha": "alpha", "strategy": "strategy", "steps": "horizon", "seed": "seed"
+}
+
+
+def _base_config(args: argparse.Namespace) -> SimConfig:
+    """The --scenario configuration with every flag that was given applied.
+
+    Run and job counts are checked here too, so every bad flag is reported
+    (exit 2) before a simulation starts.
+    """
+    for flag in ("runs", "jobs"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} {value}: must be >= 1")
+    scenario = args.scenario
+    if scenario == "grid":
+        cfg = grid_config()
+    elif scenario == "arterial":
+        cfg = arterial_config()
+    else:
         path = scenario[5:]
         try:
             cfg = load_config(path)
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
-        overrides = {}
-        if getattr(args, "q", None) is not None:
-            overrides["q"] = args.q
-        if getattr(args, "alpha", None) is not None:
-            overrides["alpha"] = args.alpha
-        if getattr(args, "strategy", None) is not None:
-            overrides["strategy"] = args.strategy
-        if getattr(args, "steps", None) is not None:
-            overrides["horizon"] = args.steps
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
-        return replace(cfg, **overrides) if overrides else cfg
-    make = grid_config if scenario == "grid" else arterial_config
-    q, steps, seed = (getattr(args, k, None) for k in ("q", "steps", "seed"))
-    return make(
-        q=0.1 if q is None else q,
-        alpha=getattr(args, "alpha", None),
-        strategy=getattr(args, "strategy", None) or "hca",
-        horizon=3600 if steps is None else steps,
-        seed=0 if seed is None else seed,
-    )
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in _OVERRIDES.items()
+        if getattr(args, flag, None) is not None
+    }
+    return replace(cfg, **overrides)
 
 
 def _print_metrics(rec: MetricsRecord) -> None:
@@ -102,7 +109,7 @@ def _print_metrics(rec: MetricsRecord) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _base_config(args.scenario, args)
+    cfg = _base_config(args)
     rec = run(cfg, trace=args.trace)
     _print_metrics(rec)
     if args.out:
@@ -110,11 +117,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+_MAX_ALPHA_POINTS = 10_001
+
+
 def _alpha_grid(start: float, stop: float, step: float) -> list[float]:
+    for flag, x in (("from", start), ("to", stop), ("step", step)):
+        if not math.isfinite(x):
+            raise ConfigError(f"--alpha-{flag} {x}: must be finite")
     if step <= 0:
         raise ConfigError(f"alpha step {step}: must be > 0")
     if stop < start:
         raise ConfigError(f"empty alpha range [{start}, {stop}]")
+    # the number of points the loop below would produce, known before it runs
+    span = (stop + 1e-9 - start) / step
+    points = math.floor(span) + 1 if math.isfinite(span) else span
+    if points > _MAX_ALPHA_POINTS:
+        raise ConfigError(
+            f"alpha grid [{start}, {stop}] step {step} has {points} points: "
+            f"at most {_MAX_ALPHA_POINTS}"
+        )
     out: list[float] = []
     i = 0
     x = start
@@ -133,92 +154,78 @@ def _progress(row) -> None:
     )
 
 
-def _warn_degenerate_std(runs: int) -> None:
-    if runs == 1:
+def _experiment(
+    args: argparse.Namespace,
+    cfg: SimConfig,
+    variants: list[str],
+    rows_of: Callable[[], list[SweepResult]],
+    write: Callable[[str, list[SweepResult]], int],
+) -> int:
+    """Run ``rows_of()``, then write its rows with ``write`` (which returns
+    the number of CSV rows) and the companion meta file.
+
+    If a run fails after some rows finished, those rows are written, marked
+    partial, and the failure is raised again.
+    """
+    if args.runs == 1:
         print("note: std is degenerate (0 by convention) with runs=1", file=sys.stderr)
+    failure = None
+    try:
+        rows = rows_of()
+    except SweepError as exc:
+        if not exc.partial:
+            raise
+        rows, failure = exc.partial, exc
+    written = write(args.out, rows)
+    write_meta(
+        f"{args.out}.meta.json", cfg, args.scenario, args.runs, cfg.seed, variants,
+        partial=failure is not None,
+    )
+    if failure is not None:
+        print(f"wrote {written} partial rows to {args.out}", file=sys.stderr)
+        raise failure
+    print(f"wrote {written} rows to {args.out}")
+    return 0
+
+
+def _write_sweep(path: str, rows: list[SweepResult]) -> int:
+    write_sweep_csv(path, rows)
+    return len(rows)
+
+
+def _write_compare(path: str, rows: list[SweepResult]) -> int:
+    pairs = summarize_comparison(rows)
+    write_compare_csv(path, pairs)
+    return len(pairs)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _base_config(args.scenario, args)
+    cfg = _base_config(args)
     alphas = _alpha_grid(args.alpha_from, args.alpha_to, args.alpha_step)
-    seed0 = cfg.seed
-    variants = [f"alpha={a:.3f}" for a in alphas]
-    _warn_degenerate_std(args.runs)
-    try:
-        rows = sweep_alpha(
-            cfg,
-            alphas,
-            args.runs,
-            scenario=args.scenario,
-            base_seed=seed0,
-            jobs=args.jobs,
-            progress=_progress,
-        )
-    except SweepError as exc:
-        if exc.partial:
-            write_sweep_csv(args.out, exc.partial)
-            write_meta(
-                f"{args.out}.meta.json",
-                cfg,
-                args.scenario,
-                args.runs,
-                seed0,
-                variants,
-                partial=True,
-            )
-            print(
-                f"wrote {len(exc.partial)} partial rows to {args.out}",
-                file=sys.stderr,
-            )
-        raise
-    write_sweep_csv(args.out, rows)
-    write_meta(f"{args.out}.meta.json", cfg, args.scenario, args.runs, seed0, variants)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _experiment(
+        args,
+        cfg,
+        [f"alpha={a:.3f}" for a in alphas],
+        lambda: sweep_alpha(
+            cfg, alphas, args.runs, args.scenario, cfg.seed, args.jobs, _progress
+        ),
+        _write_sweep,
+    )
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _base_config(args.scenario, args)
-    alpha = args.alpha if args.alpha is not None else (
-        cfg.alpha if args.scenario.startswith("file:") else tuned_alpha(args.scenario)
+    # cfg.alpha is the --alpha flag, else the file's or the scenario's tuned weight
+    cfg = _base_config(args)
+    return _experiment(
+        args,
+        cfg,
+        ["backpressure", f"hca(alpha={cfg.alpha:g})"],
+        lambda: compare_strategies(
+            cfg, args.q_list, args.runs, cfg.alpha, args.scenario, cfg.seed, args.jobs,
+            _progress,
+        ),
+        _write_compare,
     )
-    seed0 = cfg.seed
-    variants = ["backpressure", f"hca(alpha={alpha:g})"]
-    _warn_degenerate_std(args.runs)
-    try:
-        rows = compare_strategies(
-            cfg,
-            args.q_list,
-            args.runs,
-            alpha,
-            scenario=args.scenario,
-            base_seed=seed0,
-            jobs=args.jobs,
-            progress=_progress,
-        )
-    except SweepError as exc:
-        if exc.partial:
-            pairs = summarize_comparison(exc.partial)
-            write_compare_csv(args.out, pairs)
-            write_meta(
-                f"{args.out}.meta.json",
-                cfg,
-                args.scenario,
-                args.runs,
-                seed0,
-                variants,
-                partial=True,
-            )
-            print(
-                f"wrote {len(pairs)} partial rows to {args.out}",
-                file=sys.stderr,
-            )
-        raise
-    pairs = summarize_comparison(rows)
-    write_compare_csv(args.out, pairs)
-    write_meta(f"{args.out}.meta.json", cfg, args.scenario, args.runs, seed0, variants)
-    print(f"wrote {len(pairs)} rows to {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

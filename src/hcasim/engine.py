@@ -20,11 +20,10 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .lanes import apply_signal_indications, compute_backlog, compute_occupancy, lane_states
+from .lanes import apply_signal_indications, compute_backlog, compute_occupancy
 from .model import (
     ConfigError,
     IntersectionState,
-    LaneState,
     Level1State,
     SimConfig,
     SimulationError,
@@ -159,9 +158,6 @@ class Simulation:
                 report.append(f"intersection {ii}: negative elapsed time {st.tau}")
         if report:
             raise SimulationError(f"step {self.t}: " + "; ".join(report))
-
-    def lane_states(self) -> list[LaneState]:
-        return lane_states(self.occupancy, self.backlog, self.gamma)
 
     def metrics(self) -> MetricsRecord:
         return MetricsRecord(

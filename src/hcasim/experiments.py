@@ -14,47 +14,14 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Sequence, get_type_hints
 
 from scipy.stats import t as _student_t
 
 from . import __version__
 from .engine import MetricsRecord, run
 from .model import SimConfig, config_digest
-
-SWEEP_COLUMNS = (
-    "scenario",
-    "q",
-    "variant",
-    "runs",
-    "mean",
-    "std",
-    "min",
-    "max",
-    "base_seed",
-)
-COMPARE_COLUMNS = (
-    "scenario",
-    "q",
-    "runs",
-    "backpressure_mean",
-    "backpressure_std",
-    "hca_mean",
-    "hca_std",
-    "reduction",
-    "welch_t",
-    "base_seed",
-)
-METRICS_COLUMNS = (
-    "total_stop_delay",
-    "vehicles_injected",
-    "vehicles_removed",
-    "vehicles_in_network",
-    "horizon",
-    "seed",
-    "config_digest",
-)
 
 
 @dataclass(frozen=True)
@@ -135,10 +102,6 @@ def welch_one_sided(
     return t, float(_student_t.sf(t, df))
 
 
-def _run_plain(config: SimConfig) -> MetricsRecord:
-    return run(config)
-
-
 def run_many(
     config: SimConfig,
     runs: int,
@@ -153,7 +116,7 @@ def run_many(
     configs = [replace(config, seed=seed0 + i) for i in range(runs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_plain, configs, chunksize=1))
+            records = list(pool.map(run, configs, chunksize=1))
         if on_result is not None:
             for rec in records:
                 on_result(rec)
@@ -167,15 +130,33 @@ def run_many(
     return records
 
 
-def _delay_row(
+def _run_cells(
+    cells: Sequence[tuple[str, SimConfig]],
+    runs: int,
     scenario: str,
-    q: float,
-    variant: str,
-    records: Sequence[MetricsRecord],
-    base_seed: int,
-) -> SweepResult:
-    mean, std, lo, hi = aggregate([float(r.total_stop_delay) for r in records])
-    return SweepResult(scenario, q, variant, len(records), mean, std, lo, hi, base_seed)
+    base_seed: int | None,
+    jobs: int,
+    progress: Callable[[SweepResult], None] | None,
+) -> list[SweepResult]:
+    """One stop-delay row per ``(variant, config)`` cell, in order.
+
+    Every cell runs the same ``runs`` seeds, so rows are paired across
+    variants.  A failed cell raises :class:`SweepError` carrying the rows
+    finished before it.
+    """
+    rows: list[SweepResult] = []
+    for variant, cfg in cells:
+        seed0 = cfg.seed if base_seed is None else base_seed
+        try:
+            records = run_many(cfg, runs, seed0, jobs)
+        except Exception as exc:
+            raise SweepError(f"q={cfg.q:g} {variant}: {exc}", rows) from exc
+        mean, std, lo, hi = aggregate([float(r.total_stop_delay) for r in records])
+        row = SweepResult(scenario, cfg.q, variant, len(records), mean, std, lo, hi, seed0)
+        rows.append(row)
+        if progress is not None:
+            progress(row)
+    return rows
 
 
 def sweep_alpha(
@@ -188,19 +169,8 @@ def sweep_alpha(
     progress: Callable[[SweepResult], None] | None = None,
 ) -> list[SweepResult]:
     """Mean stop delay of the adaptive controller at each coordination weight."""
-    seed0 = config.seed if base_seed is None else base_seed
-    rows: list[SweepResult] = []
-    for alpha in alphas:
-        cfg = replace(config, alpha=alpha, strategy="hca")
-        try:
-            records = run_many(cfg, runs, seed0, jobs)
-        except Exception as exc:
-            raise SweepError(f"alpha={alpha:g}: {exc}", rows) from exc
-        row = _delay_row(scenario, cfg.q, f"alpha={alpha:.3f}", records, seed0)
-        rows.append(row)
-        if progress is not None:
-            progress(row)
-    return rows
+    cells = [(f"alpha={a:.3f}", replace(config, alpha=a, strategy="hca")) for a in alphas]
+    return _run_cells(cells, runs, scenario, base_seed, jobs, progress)
 
 
 def compare_strategies(
@@ -218,22 +188,11 @@ def compare_strategies(
     For every demand level the ``backpressure`` variant and the ``hca``
     variant (at the given weight) run on identical seed sequences.
     """
-    seed0 = config.seed if base_seed is None else base_seed
-    rows: list[SweepResult] = []
+    cells: list[tuple[str, SimConfig]] = []
     for q in q_list:
-        for variant, cfg in (
-            ("backpressure", replace(config, q=q, strategy="backpressure")),
-            ("hca", replace(config, q=q, strategy="hca", alpha=alpha)),
-        ):
-            try:
-                records = run_many(cfg, runs, seed0, jobs)
-            except Exception as exc:
-                raise SweepError(f"q={q:g} {variant}: {exc}", rows) from exc
-            row = _delay_row(scenario, q, variant, records, seed0)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
-    return rows
+        cells.append(("backpressure", replace(config, q=q, strategy="backpressure")))
+        cells.append(("hca", replace(config, q=q, strategy="hca", alpha=alpha)))
+    return _run_cells(cells, runs, scenario, base_seed, jobs, progress)
 
 
 def summarize_comparison(rows: Sequence[SweepResult]) -> list[ComparisonRow]:
@@ -274,119 +233,61 @@ def summarize_comparison(rows: Sequence[SweepResult]) -> list[ComparisonRow]:
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+def _columns(row_type: type) -> list[tuple[str, type]]:
+    hints = get_type_hints(row_type)
+    return [(f.name, hints[f.name]) for f in fields(row_type)]
+
+
+def _write_rows(path: str, row_type: type, rows: Sequence) -> None:
+    """One CSV row per record, the header taken from the dataclass fields.
+
+    Float fields get fixed six-decimal formatting, so equal results give
+    equal bytes; int and str fields are written as they are.
+    """
+    cols = _columns(row_type)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(name for name, _ in cols)
+        for r in rows:
+            writer.writerow(
+                f"{getattr(r, name):.6f}" if kind is float else getattr(r, name)
+                for name, kind in cols
+            )
+
+
+def _read_rows(path: str, row_type: type) -> list:
+    """Parse a file written by :func:`_write_rows`; a foreign header is an error."""
+    cols = _columns(row_type)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != [name for name, _ in cols]:
+            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
+        return [row_type(**{name: kind(rec[name]) for name, kind in cols}) for rec in reader]
 
 
 def write_sweep_csv(path: str, rows: Sequence[SweepResult]) -> None:
     """Write sweep rows with fixed six-decimal formatting (stable bytes)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                (
-                    r.scenario,
-                    _fmt(r.q),
-                    r.variant,
-                    r.runs,
-                    _fmt(r.mean),
-                    _fmt(r.std),
-                    _fmt(r.min),
-                    _fmt(r.max),
-                    r.base_seed,
-                )
-            )
+    _write_rows(path, SweepResult, rows)
 
 
 def read_sweep_csv(path: str) -> list[SweepResult]:
     """Parse a file written by :func:`write_sweep_csv`."""
-    rows: list[SweepResult] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != SWEEP_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                SweepResult(
-                    scenario=rec["scenario"],
-                    q=float(rec["q"]),
-                    variant=rec["variant"],
-                    runs=int(rec["runs"]),
-                    mean=float(rec["mean"]),
-                    std=float(rec["std"]),
-                    min=float(rec["min"]),
-                    max=float(rec["max"]),
-                    base_seed=int(rec["base_seed"]),
-                )
-            )
-    return rows
+    return _read_rows(path, SweepResult)
 
 
 def write_compare_csv(path: str, rows: Sequence[ComparisonRow]) -> None:
     """Write paired comparison rows with fixed six-decimal formatting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COMPARE_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                (
-                    r.scenario,
-                    _fmt(r.q),
-                    r.runs,
-                    _fmt(r.backpressure_mean),
-                    _fmt(r.backpressure_std),
-                    _fmt(r.hca_mean),
-                    _fmt(r.hca_std),
-                    _fmt(r.reduction),
-                    _fmt(r.welch_t),
-                    r.base_seed,
-                )
-            )
+    _write_rows(path, ComparisonRow, rows)
 
 
 def read_compare_csv(path: str) -> list[ComparisonRow]:
     """Parse a file written by :func:`write_compare_csv`."""
-    rows: list[ComparisonRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != COMPARE_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                ComparisonRow(
-                    scenario=rec["scenario"],
-                    q=float(rec["q"]),
-                    runs=int(rec["runs"]),
-                    backpressure_mean=float(rec["backpressure_mean"]),
-                    backpressure_std=float(rec["backpressure_std"]),
-                    hca_mean=float(rec["hca_mean"]),
-                    hca_std=float(rec["hca_std"]),
-                    reduction=float(rec["reduction"]),
-                    welch_t=float(rec["welch_t"]),
-                    base_seed=int(rec["base_seed"]),
-                )
-            )
-    return rows
+    return _read_rows(path, ComparisonRow)
 
 
 def write_metrics_csv(path: str, records: Sequence[MetricsRecord]) -> None:
     """Write end-of-run metric records, one row per run."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for r in records:
-            writer.writerow(
-                (
-                    r.total_stop_delay,
-                    r.vehicles_injected,
-                    r.vehicles_removed,
-                    r.vehicles_in_network,
-                    r.horizon,
-                    r.seed,
-                    r.config_digest,
-                )
-            )
+    _write_rows(path, MetricsRecord, records)
 
 
 def write_meta(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .model import LaneState, Level1State, NetworkTopology
+from .model import Level1State, NetworkTopology
 
 
 def compute_occupancy(state: Level1State) -> list[int]:
@@ -43,10 +43,3 @@ def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -
             active = topology.intersections[node].phases[phases[node]]
             gamma[li] = 1 if li in active else 0
     return gamma
-
-
-def lane_states(
-    occupancy: Sequence[int], backlog: Sequence[float], gamma: Sequence[int]
-) -> list[LaneState]:
-    """Zip the three per-lane series into state records."""
-    return [LaneState(o, d, g) for o, d, g in zip(occupancy, backlog, gamma)]

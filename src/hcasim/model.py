@@ -21,6 +21,7 @@ Geometry conventions:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -53,10 +54,6 @@ class LaneDescriptor:
     def __post_init__(self) -> None:
         if self.signal_cell < 0:
             object.__setattr__(self, "signal_cell", self.length)
-
-    @property
-    def is_exit(self) -> bool:
-        return self.downstream is None
 
 
 @dataclass(frozen=True)
@@ -138,10 +135,8 @@ class Vehicle:
 class Level1State:
     """Vehicle-level state: one position-sorted vehicle list per lane.
 
-    The per-cell array view (-1 for empty, the occupant's speed otherwise) is
-    derived from the vehicle records on demand, so the two views cannot drift
-    apart.  Lists are kept sorted by cell in ascending order; the last element
-    of a list is the lane's front vehicle.
+    Lists are kept sorted by cell in ascending order; the last element of a
+    list is the lane's front vehicle.
     """
 
     __slots__ = ("lane_vehicles", "lane_lengths")
@@ -162,34 +157,6 @@ class Level1State:
     @property
     def vehicle_count(self) -> int:
         return sum(len(lst) for lst in self.lane_vehicles)
-
-    def cells_for(self, lane: int) -> list[int]:
-        """Cell array of one lane, rebuilt from the vehicle records."""
-        arr = [-1] * self.lane_lengths[lane]
-        for veh in self.lane_vehicles[lane]:
-            arr[veh.cell] = veh.speed
-        return arr
-
-    def cells(self) -> list[list[int]]:
-        """Cell arrays of every lane."""
-        return [self.cells_for(l) for l in range(len(self.lane_lengths))]
-
-    def copy(self) -> "Level1State":
-        dup = Level1State(self.lane_lengths)
-        dup.lane_vehicles = [
-            [Vehicle(v.id, v.lane, v.cell, v.speed, v.dest) for v in lst]
-            for lst in self.lane_vehicles
-        ]
-        return dup
-
-
-@dataclass(frozen=True)
-class LaneState:
-    """Lane-level state triple: occupancy, differential backlog, signal bit."""
-
-    o: int
-    delta: float
-    gamma: int  # 1 green, 0 red
 
 
 @dataclass(frozen=True)
@@ -234,8 +201,8 @@ class SimConfig:
             raise ConfigError(f"p={self.p}: probability out of range [0, 1]")
         if not 0.0 <= self.q <= 1.0:
             raise ConfigError(f"q={self.q}: probability out of range [0, 1]")
-        if self.alpha < 0.0:
-            raise ConfigError(f"alpha={self.alpha}: must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ConfigError(f"alpha={self.alpha}: must be >= 0 and finite")
         if self.horizon < 1:
             raise ConfigError(f"horizon={self.horizon}: must be >= 1")
         if self.seed < 0:

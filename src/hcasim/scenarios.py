@@ -18,7 +18,6 @@ networks get the same treatment via :func:`derive_compatibility`.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .model import (
     ConfigError,
@@ -82,14 +81,12 @@ def build_grid(
     roads_per_direction: int = 4,
     block_cells: int = 40,
     v_max: int = 2,
-    p: float = 0.2,
 ) -> NetworkTopology:
     """Manhattan grid of one-way roads (eastbound rows, northbound columns).
 
     Each intersection runs two phases: green for the eastbound approach
     (traffic from the left), green for the northbound one (from the bottom).
-    ``p`` is accepted alongside the other scenario parameters but plays no
-    role in the layout; ``v_max`` sets the derived neighbor travel times.
+    ``v_max`` sets the derived neighbor travel times.
     Entry points come in road order, eastbound rows first.
     """
     if roads_per_direction < 1:
@@ -229,7 +226,7 @@ def grid_config(
     **extra,
 ) -> SimConfig:
     """Ready-to-run grid configuration (tuned coordination weight by default)."""
-    topo = build_grid(roads_per_direction, block_cells, v_max, p)
+    topo = build_grid(roads_per_direction, block_cells, v_max)
     return SimConfig(
         topology=topo,
         v_max=v_max,
@@ -275,33 +272,6 @@ def arterial_config(
 def tuned_alpha(scenario: str) -> float:
     """Default coordination weight for a built-in scenario name."""
     return ARTERIAL_TUNED_ALPHA if scenario == "arterial" else GRID_TUNED_ALPHA
-
-
-def export_topology(topology: NetworkTopology) -> dict:
-    """Plain-data dump of a network (JSON-serializable, for inspection)."""
-    return {
-        "lanes": [
-            {
-                "id": li,
-                "length": lane.length,
-                "upstream": lane.upstream,
-                "downstream": lane.downstream,
-                "exits": [list(e) for e in lane.exits],
-            }
-            for li, lane in enumerate(topology.lanes)
-        ],
-        "intersections": [
-            {
-                "id": ii,
-                "inbound_lanes": list(node.inbound_lanes),
-                "phases": [list(ph) for ph in node.phases],
-                "neighbors": [list(nb) for nb in node.neighbors],
-                "compatibility": sorted(list(c) for c in node.compatibility),
-            }
-            for ii, node in enumerate(topology.intersections)
-        ],
-        "entry_points": [list(e) for e in topology.entry_points],
-    }
 
 
 _TOP_KEYS = {
@@ -382,7 +352,7 @@ def load_config(path: str) -> SimConfig:
     if kind == "grid":
         if "side_q" in scen or "intersections" in scen:
             raise ConfigError(f"{path}: side_q/intersections are arterial-only keys")
-        topo = build_grid(int(scen.pop("roads_per_direction", 4)), block, v_max, float(p))
+        topo = build_grid(int(scen.pop("roads_per_direction", 4)), block, v_max)
         intensities: tuple[float | None, ...] | None = None
     elif kind == "arterial":
         if "roads_per_direction" in scen:
@@ -403,11 +373,6 @@ def load_config(path: str) -> SimConfig:
     )
 
 
-def with_demand(config: SimConfig, q: float) -> SimConfig:
-    """Copy of a config with the main demand replaced."""
-    return replace(config, q=q)
-
-
 __all__ = [
     "ARTERIAL_TUNED_ALPHA",
     "DEFAULT_SIDE_INTENSITY",
@@ -416,10 +381,8 @@ __all__ = [
     "build_arterial",
     "build_grid",
     "derive_compatibility",
-    "export_topology",
     "grid_config",
     "load_config",
     "tuned_alpha",
     "validate_topology",
-    "with_demand",
 ]

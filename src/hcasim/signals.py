@@ -34,16 +34,6 @@ def phase_pressure(phase: Sequence[int], backlog: Sequence[float]) -> float:
     return total
 
 
-def coordination_f(tau_neighbor: int, travel_time: int, compatible: bool) -> float:
-    """Platoon-arrival score from one neighbor.
-
-    The neighbor's green has run for ``tau_neighbor`` steps; traffic it
-    released needs ``travel_time`` steps to get here.  Incompatible phase
-    pairs score minus infinity so they can never win the maximum.
-    """
-    return float(tau_neighbor - travel_time) if compatible else float("-inf")
-
-
 def _priorities(
     node: IntersectionDescriptor, neighbor_states: Sequence[IntersectionState]
 ) -> list[float]:

@@ -84,6 +84,77 @@ def test_negative_seed_is_config_error(capsys):
     assert "config error" in err and "seed=-1" in err
 
 
+@pytest.fixture
+def no_runs(monkeypatch, tmp_path):
+    """Fail the test if any simulation starts; output files land in tmp_path."""
+    import hcasim.cli
+    import hcasim.experiments
+
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(hcasim.cli, "run", refuse)
+    monkeypatch.setattr(hcasim.experiments, "run_many", refuse)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_alpha_is_config_error(value, capsys, no_runs):
+    assert main(["run", "--alpha", value, "--steps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"alpha={value}" in err
+
+
+def test_non_finite_alpha_in_config_file_is_config_error(tmp_path, capsys, no_runs):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("alpha = nan\n[scenario]\nkind = grid\n")
+    assert main(["run", "--scenario", f"file:{cfg}", "--steps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "alpha=nan" in err
+
+
+def _sweep_and_compare(*flags):
+    tiny = ["--steps", "5"]
+    return [
+        ["sweep", "--alpha-from", "0", "--alpha-to", "0", "--alpha-step", "1", *tiny, *flags],
+        ["compare", "--q-list", "0.1", *tiny, *flags],
+    ]
+
+
+@pytest.mark.parametrize("argv", _sweep_and_compare("--runs", "0"))
+def test_zero_runs_is_config_error(argv, capsys, no_runs):
+    assert main(argv) == 2
+    assert "--runs 0: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", _sweep_and_compare("--jobs", "0") + _sweep_and_compare("--jobs", "-3")
+)
+def test_nonpositive_jobs_is_config_error(argv, capsys, no_runs):
+    assert main(argv) == 2
+    assert f"--jobs {argv[-1]}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, fragment",
+    [
+        ("--alpha-to", "inf", "--alpha-to inf: must be finite"),
+        ("--alpha-step", "nan", "--alpha-step nan: must be finite"),
+        ("--alpha-from", "nan", "--alpha-from nan: must be finite"),
+        ("--alpha-step", "1e-12", "has 2000000001001 points: at most 10001"),
+    ],
+)
+def test_unbounded_alpha_grid_is_config_error(flag, value, fragment, capsys, no_runs):
+    # every value here is rejected before a list of alphas is built
+    argv = ["sweep", "--alpha-from", "0", "--alpha-to", "2", "--alpha-step", "0.1",
+            "--steps", "5"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and fragment in err
+
+
 # --- run subcommand ----------------------------------------------------------------
 
 

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hcasim import (
     IntersectionDescriptor,
     LaneDescriptor,
-    LaneState,
     NetworkTopology,
     apply_signal_indications,
     compute_backlog,
     compute_occupancy,
-    lane_states,
 )
 from netgen import random_topology
 
@@ -93,11 +91,6 @@ def test_signal_bits_multilane_phase(merge):
     # merge node greens both approach lanes in phase 0
     assert apply_signal_indications([0], merge) == [1, 1, 1, 0, 1]
     assert apply_signal_indications([1], merge) == [0, 0, 1, 1, 1]
-
-
-def test_lane_states_zips_series():
-    states = lane_states([3, 0], [1.5, -0.5], [1, 0])
-    assert states == [LaneState(3, 1.5, 1), LaneState(0, -0.5, 0)]
 
 
 @settings(max_examples=25, deadline=None)

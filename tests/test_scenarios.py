@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from hcasim import (
@@ -20,7 +18,6 @@ from hcasim import (
     tuned_alpha,
     validate_topology,
 )
-from hcasim.scenarios import export_topology, with_demand
 from conftest import fork_topology
 
 
@@ -252,24 +249,6 @@ def test_config_factories_pass_extras_through():
     assert (cfg.min_green, cfg.stop_window) == (5, 8)
     cfg = arterial_config(side_q=0.1, intersections=2)
     assert cfg.entry_intensities == (None, 0.1, 0.1)
-
-
-def test_with_demand_replaces_only_q():
-    cfg = grid_config(q=0.05, seed=4)
-    out = with_demand(cfg, 0.15)
-    assert out.q == 0.15
-    assert (out.seed, out.alpha, out.topology) == (4, cfg.alpha, cfg.topology)
-
-
-def test_export_topology_is_json_ready():
-    topo = build_grid(2, 10)
-    doc = export_topology(topo)
-    text = json.dumps(doc)
-    back = json.loads(text)
-    assert len(back["lanes"]) == topo.n_lanes
-    assert len(back["intersections"]) == topo.n_intersections
-    assert back["lanes"][0]["exits"] == [[1, 1.0]]
-    assert back["intersections"][0]["phases"] == [[0], [6]]
 
 
 # --- config file parsing ----------------------------------------------------------

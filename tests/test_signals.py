@@ -17,7 +17,6 @@ from hcasim import (
     SimConfig,
     SimulationError,
     controller_strategy,
-    coordination_f,
     coordination_priority,
     phase_pressure,
     select_phase,
@@ -53,6 +52,15 @@ def test_select_scores_three_lane_phase_left_to_right():
 
 
 # --- coordination score from one neighbor ---------------------------------
+# The arrival score f of one neighbor is tau - travel when the neighbor's
+# running phase feeds the scored phase, and -inf otherwise; the priority of
+# a phase is the best f over its neighbors, floored at zero.
+
+
+def _one_neighbor_priority(tau, travel, compatible):
+    compat = {(0, 0, 0)} if compatible else set()
+    node = _node([(0,), (1,)], neighbors=((0, travel),), compat=compat)
+    return coordination_priority(node, 0, [IntersectionState(0, tau)])
 
 
 @pytest.mark.parametrize(
@@ -67,16 +75,16 @@ def test_select_scores_three_lane_phase_left_to_right():
     ],
 )
 def test_coordination_f_values(tau, travel, compatible, expect):
-    assert coordination_f(tau, travel, compatible) == expect
+    assert _one_neighbor_priority(tau, travel, compatible) == max(expect, 0.0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tau=st.integers(0, 500), travel=st.integers(1, 100))
 def test_coordination_f_sign_tracks_platoon_arrival(tau, travel):
     # positive exactly when the neighbor's green has outlasted the travel time
-    f = coordination_f(tau, travel, True)
+    f = _one_neighbor_priority(tau, travel, True)
     assert (f > 0) == (tau > travel)
-    assert coordination_f(tau, travel, False) == -math.inf
+    assert _one_neighbor_priority(tau, travel, False) == 0.0
 
 
 # --- per-phase coordination priority ---------------------------------------

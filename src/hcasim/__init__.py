@@ -48,7 +48,6 @@ from .scenarios import (
     derive_compatibility,
     grid_config,
     load_config,
-    tuned_alpha,
 )
 from .signals import (
     AdaptiveSelector,
@@ -119,7 +118,6 @@ __all__ = [
     "sweep_alpha",
     "topology_digest",
     "trace_columns",
-    "tuned_alpha",
     "validate_topology",
     "welch_one_sided",
     "write_compare_csv",

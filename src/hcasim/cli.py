@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Callable
 
 from .engine import MetricsRecord, run
@@ -32,7 +32,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .model import ConfigError, SimConfig, SimulationError
-from .scenarios import arterial_config, grid_config, load_config
+from .scenarios import SCENARIOS, load_config
 
 _DEFAULT_Q_LIST = "0.05,0.075,0.1,0.125,0.15"
 _DEFAULT_JOBS = os.cpu_count() or 1
@@ -47,10 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _scenario_arg(value: str) -> str:
-    if value in ("grid", "arterial") or value.startswith("file:"):
+    if value in SCENARIOS or value.startswith("file:"):
         return value
     raise argparse.ArgumentTypeError(
-        f"expected grid, arterial or file:PATH, got {value!r}"
+        f"expected {', '.join(SCENARIOS)} or file:PATH, got {value!r}"
     )
 
 
@@ -80,10 +80,8 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
         if value is not None and value < 1:
             raise ConfigError(f"--{flag} {value}: must be >= 1")
     scenario = args.scenario
-    if scenario == "grid":
-        cfg = grid_config()
-    elif scenario == "arterial":
-        cfg = arterial_config()
+    if scenario in SCENARIOS:
+        cfg = SCENARIOS[scenario]()
     else:
         path = scenario[5:]
         try:
@@ -98,20 +96,11 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
     return replace(cfg, **overrides)
 
 
-def _print_metrics(rec: MetricsRecord) -> None:
-    print(f"total_stop_delay={rec.total_stop_delay}")
-    print(f"vehicles_injected={rec.vehicles_injected}")
-    print(f"vehicles_removed={rec.vehicles_removed}")
-    print(f"vehicles_in_network={rec.vehicles_in_network}")
-    print(f"horizon={rec.horizon}")
-    print(f"seed={rec.seed}")
-    print(f"config_digest={rec.config_digest}")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
     rec = run(cfg, trace=args.trace)
-    _print_metrics(rec)
+    for field in fields(MetricsRecord):
+        print(f"{field.name}={getattr(rec, field.name)}")
     if args.out:
         write_metrics_csv(args.out, [rec])
     return 0

@@ -21,7 +21,7 @@ from scipy.stats import t as _student_t
 
 from . import __version__
 from .engine import MetricsRecord, run
-from .model import SimConfig, config_digest
+from .model import ConfigError, SimConfig, config_digest
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,15 @@ def run_many(
     return records
 
 
+def _check_distinct(keys: Sequence[str], what: str) -> None:
+    """Reject a repeated row key: its rows could not be told apart."""
+    seen: set[str] = set()
+    for key in keys:
+        if key in seen:
+            raise ConfigError(f"{what} {key} repeats: the CSV would hold two rows under it")
+        seen.add(key)
+
+
 def _run_cells(
     cells: Sequence[tuple[str, SimConfig]],
     runs: int,
@@ -170,6 +179,7 @@ def sweep_alpha(
 ) -> list[SweepResult]:
     """Mean stop delay of the adaptive controller at each coordination weight."""
     cells = [(f"alpha={a:.3f}", replace(config, alpha=a, strategy="hca")) for a in alphas]
+    _check_distinct([variant for variant, _ in cells], "variant")
     return _run_cells(cells, runs, scenario, base_seed, jobs, progress)
 
 
@@ -188,6 +198,7 @@ def compare_strategies(
     For every demand level the ``backpressure`` variant and the ``hca``
     variant (at the given weight) run on identical seed sequences.
     """
+    _check_distinct([f"q={q:.6f}" for q in q_list], "demand level")
     cells: list[tuple[str, SimConfig]] = []
     for q in q_list:
         cells.append(("backpressure", replace(config, q=q, strategy="backpressure")))

@@ -10,7 +10,9 @@ Geometry conventions:
 
 * A lane of ``length`` L has drivable cells ``0 .. L-1``.  Its stop line
   (``signal_cell``) sits at index L, one past the last cell, so a vehicle on
-  the final cell is at distance 1 from the signal.
+  the final cell is at distance 1 from the signal.  The stop line is derived
+  from ``length``, never stored, and a network-exit lane's end is also where
+  its vehicles leave the network.
 * Intersections are not drivable: a vehicle crossing on green moves directly
   from the final cell of its inbound lane onto the first cells of the chosen
   successor lane.
@@ -49,11 +51,11 @@ class LaneDescriptor:
     upstream: int | None      # feeding intersection id, None at a network entry
     downstream: int | None    # receiving intersection id, None at a network exit
     exits: tuple[tuple[int, float], ...] = ()
-    signal_cell: int = -1     # resolved to `length` (stop line past the last cell)
 
-    def __post_init__(self) -> None:
-        if self.signal_cell < 0:
-            object.__setattr__(self, "signal_cell", self.length)
+    @property
+    def signal_cell(self) -> int:
+        """The stop line, one past the last cell."""
+        return self.length
 
 
 @dataclass(frozen=True)
@@ -117,19 +119,12 @@ class NetworkTopology:
 
 @dataclass(slots=True)
 class Vehicle:
-    """One vehicle record.
-
-    ``dest`` is the destination cell on the vehicle's current lane.  It is
-    None while the vehicle has not yet reached a network-exit lane; entering
-    an exit lane sets it to that lane's final cell, and moving past it removes
-    the vehicle from the network.
-    """
+    """One vehicle record; it leaves the network past the end of an exit lane."""
 
     id: int
     lane: int
     cell: int
     speed: int
-    dest: int | None = None
 
 
 class Level1State:
@@ -303,11 +298,6 @@ def validate_topology(topology: NetworkTopology) -> list[str]:
         if lane.length < 1:
             report.append(f"lane {li}: length {lane.length} < 1")
             continue
-        if lane.signal_cell != lane.length:
-            report.append(
-                f"lane {li}: signal_cell {lane.signal_cell} is not at the lane end "
-                f"({lane.length})"
-            )
         if lane.upstream is not None and not 0 <= lane.upstream < n_nodes:
             report.append(f"lane {li}: upstream intersection {lane.upstream} does not exist")
         if lane.downstream is not None and not 0 <= lane.downstream < n_nodes:

@@ -25,11 +25,8 @@ from .model import (
     LaneDescriptor,
     NetworkTopology,
     SimConfig,
-    validate_topology,
 )
 
-GRID_TUNED_ALPHA = 1.0
-ARTERIAL_TUNED_ALPHA = 0.25
 DEFAULT_SIDE_INTENSITY = 0.02
 
 
@@ -42,6 +39,8 @@ def derive_compatibility(topology: NetworkTopology, v_max: int) -> NetworkTopolo
     with a local phase when some lane it serves releases traffic onto a lane
     the local phase serves.
     """
+    if v_max < 1:
+        raise ConfigError(f"v_max={v_max}: must be >= 1")
     nodes = []
     for node in topology.intersections:
         neighbors: dict[int, int] = {}
@@ -214,65 +213,43 @@ def build_arterial(
 
 
 def grid_config(
-    q: float = 0.1,
-    alpha: float | None = None,
-    seed: int = 0,
-    strategy: str = "hca",
-    horizon: int = 3600,
+    *,
     roads_per_direction: int = 4,
     block_cells: int = 40,
     v_max: int = 2,
-    p: float = 0.2,
-    **extra,
+    alpha: float = 1.0,
+    **dynamics,
 ) -> SimConfig:
-    """Ready-to-run grid configuration (tuned coordination weight by default)."""
+    """Ready-to-run grid configuration at its tuned coordination weight.
+
+    Every other keyword (``q``, ``seed``, ``horizon``, ...) is a
+    :class:`SimConfig` field and keeps that class's default when omitted.
+    """
     topo = build_grid(roads_per_direction, block_cells, v_max)
-    return SimConfig(
-        topology=topo,
-        v_max=v_max,
-        p=p,
-        alpha=GRID_TUNED_ALPHA if alpha is None else alpha,
-        q=q,
-        horizon=horizon,
-        seed=seed,
-        strategy=strategy,
-        **extra,
-    )
+    return SimConfig(topology=topo, v_max=v_max, alpha=alpha, **dynamics)
 
 
 def arterial_config(
-    q: float = 0.1,
-    alpha: float | None = None,
-    seed: int = 0,
-    strategy: str = "hca",
-    horizon: int = 3600,
+    *,
     intersections: int = 4,
     block_cells: int = 40,
     side_q: float = DEFAULT_SIDE_INTENSITY,
     v_max: int = 2,
-    p: float = 0.2,
-    **extra,
+    alpha: float = 0.25,
+    **dynamics,
 ) -> SimConfig:
-    """Ready-to-run arterial configuration; ``q`` drives the arterial entry."""
+    """Ready-to-run arterial configuration; ``q`` drives the arterial entry.
+
+    Other keywords are :class:`SimConfig` fields, as for :func:`grid_config`.
+    """
     topo, intensities = build_arterial(intersections, block_cells, side_q, v_max)
     return SimConfig(
-        topology=topo,
-        v_max=v_max,
-        p=p,
-        alpha=ARTERIAL_TUNED_ALPHA if alpha is None else alpha,
-        q=q,
-        entry_intensities=intensities,
-        horizon=horizon,
-        seed=seed,
-        strategy=strategy,
-        **extra,
+        topology=topo, v_max=v_max, alpha=alpha, entry_intensities=intensities, **dynamics
     )
 
 
-def tuned_alpha(scenario: str) -> float:
-    """Default coordination weight for a built-in scenario name."""
-    return ARTERIAL_TUNED_ALPHA if scenario == "arterial" else GRID_TUNED_ALPHA
-
+# The built-in scenarios: `--scenario NAME` and a config file's `kind = NAME`.
+SCENARIOS = {"grid": grid_config, "arterial": arterial_config}
 
 _TOP_KEYS = {
     "v_max": int,
@@ -293,6 +270,11 @@ _SCENARIO_KEYS = {
     "block": int,
     "side_q": float,
 }
+# The [scenario] keys each kind takes besides `kind`.
+_KIND_KEYS = {
+    "grid": ("roads_per_direction", "block"),
+    "arterial": ("intersections", "block", "side_q"),
+}
 
 
 def load_config(path: str) -> SimConfig:
@@ -300,7 +282,8 @@ def load_config(path: str) -> SimConfig:
 
     Dynamics keys live at the top level, the network under a ``[scenario]``
     section with ``kind = grid`` or ``kind = arterial``.  ``#`` starts a
-    comment; unknown keys and sections are rejected with their line number.
+    comment; unknown sections and unknown or repeated keys are rejected with
+    their line number.  A key left out takes the scenario factory's default.
     """
     top: dict[str, object] = {}
     scen: dict[str, object] = {}
@@ -328,11 +311,22 @@ def load_config(path: str) -> SimConfig:
                 raise ConfigError(
                     f"{path}:{lineno}: invalid value {value!r} for {key!r}"
                 ) from None
-            (scen if section == "scenario" else top)[key] = parsed
+            seen = scen if section == "scenario" else top
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            seen[key] = parsed
 
     if "kind" not in scen:
         raise ConfigError(f"{path}: missing [scenario] section with a 'kind' key")
     kind = scen.pop("kind")
+    if kind not in SCENARIOS:
+        raise ConfigError(f"{path}: unknown scenario kind {kind!r}")
+    for key in scen:
+        if key not in _KIND_KEYS[kind]:
+            owner = next(k for k, keys in _KIND_KEYS.items() if key in keys)
+            raise ConfigError(f"{path}: {key!r} is {owner}-only, not a {kind} key")
+    if "block" in scen:
+        scen["block_cells"] = scen.pop("block")
 
     split_text = top.pop("fixed_time_split", None)
     if split_text is not None:
@@ -346,43 +340,4 @@ def load_config(path: str) -> SimConfig:
                 "(expected comma-separated integers)"
             ) from None
 
-    v_max = int(top.pop("v_max", 2))
-    p = top.pop("p", 0.2)
-    block = int(scen.pop("block", 40))
-    if kind == "grid":
-        if "side_q" in scen or "intersections" in scen:
-            raise ConfigError(f"{path}: side_q/intersections are arterial-only keys")
-        topo = build_grid(int(scen.pop("roads_per_direction", 4)), block, v_max)
-        intensities: tuple[float | None, ...] | None = None
-    elif kind == "arterial":
-        if "roads_per_direction" in scen:
-            raise ConfigError(f"{path}: roads_per_direction is a grid-only key")
-        topo, intensities = build_arterial(
-            int(scen.pop("intersections", 4)),
-            block,
-            float(scen.pop("side_q", DEFAULT_SIDE_INTENSITY)),
-            v_max,
-        )
-    else:
-        raise ConfigError(f"{path}: unknown scenario kind {kind!r}")
-
-    if "alpha" not in top:
-        top["alpha"] = tuned_alpha(str(kind))
-    return SimConfig(
-        topology=topo, v_max=v_max, p=float(p), entry_intensities=intensities, **top
-    )
-
-
-__all__ = [
-    "ARTERIAL_TUNED_ALPHA",
-    "DEFAULT_SIDE_INTENSITY",
-    "GRID_TUNED_ALPHA",
-    "arterial_config",
-    "build_arterial",
-    "build_grid",
-    "derive_compatibility",
-    "grid_config",
-    "load_config",
-    "tuned_alpha",
-    "validate_topology",
-]
+    return SCENARIOS[kind](**top, **scen)

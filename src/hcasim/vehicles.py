@@ -116,7 +116,6 @@ def advance_all(
             continue
         desc = lanes[li]
         length = desc.length
-        sig = desc.signal_cell
         off_network = desc.downstream is None
         green = gamma[li]
         stayers = new_lists[li]
@@ -134,38 +133,37 @@ def advance_all(
             elif off_network:
                 pass  # open road beyond the last cell
             elif green:
-                if k + v >= sig:
+                if k + v >= length:
                     exits = desc.exits
                     if len(exits) == 1:
                         target = exits[0][0]
                     else:
                         target = pick_exit(exits, rng.turn.random())
-                    cap = sig - k + first_occ[target] - 1
+                    cap = length - k + first_occ[target] - 1
                     if v > cap:
                         v = cap
             else:
-                cap = sig - k - 1
+                cap = length - k - 1
                 if v > cap:
                     v = cap
             if draws[di] < p and v > 0:
                 v -= 1
             di += 1
             nk = k + v
-            dest = veh.dest
-            if dest is not None and nk > dest:
-                veh.cell = nk
-                veh.speed = v
-                removed.append(veh)
-            elif nk < length:
+            if nk < length:
                 veh.cell = nk
                 veh.speed = v
                 stayers.append(veh)
+            elif off_network:
+                veh.cell = nk
+                veh.speed = v
+                removed.append(veh)
             else:
                 if target < 0:
                     raise SimulationError(
                         f"vehicle {veh.id} ran off lane {li} without a committed exit"
                     )
-                c = nk - sig
+                c = nk - length
                 taken = claimed.get(target)
                 if taken is None:
                     taken = claimed[target] = set()
@@ -178,9 +176,7 @@ def advance_all(
                     taken.add(c)
                     veh.lane = target
                     veh.cell = c
-                    veh.speed = sig - k + c
-                    if lanes[target].downstream is None:
-                        veh.dest = lengths[target] - 1
+                    veh.speed = length - k + c
                     entrants.setdefault(target, []).append(veh)
             ahead = k
         stayers.reverse()
@@ -214,10 +210,6 @@ class InjectionProcess:
         self.intensities = tuple(intensities)
         self.pending = [0] * len(self.entries)
         self.next_id = 0
-        self._dest = []
-        for lane_id, _cell in self.entries:
-            lane = topology.lanes[lane_id]
-            self._dest.append(lane.length - 1 if lane.downstream is None else None)
 
     @property
     def total_injected(self) -> int:
@@ -242,7 +234,7 @@ class InjectionProcess:
             pos = bisect_left(lst, cell, key=_cell_of)
             if pos < len(lst) and lst[pos].cell == cell:
                 continue  # entry cell occupied: the arrival keeps waiting
-            veh = Vehicle(self.next_id, lane_id, cell, 0, self._dest[ei])
+            veh = Vehicle(self.next_id, lane_id, cell, 0)
             self.next_id += 1
             self.pending[ei] -= 1
             lst.insert(pos, veh)

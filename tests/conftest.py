@@ -65,12 +65,10 @@ def merge_topology(length: int = 10, v_max: int = 2) -> NetworkTopology:
 
 
 def state_with(topology: NetworkTopology, *vehicles) -> Level1State:
-    """Level-1 state holding the given (lane, cell, speed[, dest]) vehicles."""
+    """Level-1 state holding the given (lane, cell, speed) vehicles."""
     state = Level1State.empty(topology)
-    for vid, entry in enumerate(vehicles):
-        lane, cell, speed = entry[:3]
-        dest = entry[3] if len(entry) > 3 else None
-        state.lane_vehicles[lane].append(Vehicle(vid, lane, cell, speed, dest))
+    for vid, (lane, cell, speed) in enumerate(vehicles):
+        state.lane_vehicles[lane].append(Vehicle(vid, lane, cell, speed))
     for lst in state.lane_vehicles:
         lst.sort(key=lambda v: v.cell)
     return state

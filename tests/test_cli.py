@@ -155,6 +155,28 @@ def test_unbounded_alpha_grid_is_config_error(flag, value, fragment, capsys, no_
     assert "config error" in err and fragment in err
 
 
+def test_zero_v_max_in_config_file_is_config_error(tmp_path, capsys, no_runs):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("v_max = 0\n[scenario]\nkind = grid\n")
+    assert main(["run", "--scenario", f"file:{cfg}", "--steps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "v_max=0: must be >= 1" in err
+
+
+def test_repeated_demand_level_is_config_error(capsys, no_runs):
+    argv = ["compare", "--q-list", "0.1,0.1", "--runs", "2", "--steps", "20", "--jobs", "1"]
+    assert main(argv) == 2
+    assert "demand level q=0.100000 repeats" in capsys.readouterr().err
+
+
+def test_repeated_alpha_label_is_config_error(capsys, no_runs):
+    # 0.0005 steps print as alpha=0.001 twice and alpha=0.002 twice
+    argv = ["sweep", "--alpha-from", "0", "--alpha-to", "0.002", "--alpha-step", "0.0005",
+            "--runs", "1", "--steps", "5", "--jobs", "1"]
+    assert main(argv) == 2
+    assert "variant alpha=0.001 repeats" in capsys.readouterr().err
+
+
 # --- run subcommand ----------------------------------------------------------------
 
 

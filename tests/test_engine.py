@@ -207,9 +207,11 @@ def _lockstep(cfg: SimConfig, steps: int) -> None:
         sim.step()
         ref.step()
         lanes = ref.lane_snapshot()
-        for li in range(cfg.topology.n_lanes):
+        for li, lane in enumerate(cfg.topology.lanes):
+            # the reference stores an exit lane's last cell on each vehicle
+            dest = lane.length - 1 if lane.downstream is None else None
             got = tuple(
-                (v.cell, v.id, v.speed, v.dest) for v in sim.state.lane_vehicles[li]
+                (v.cell, v.id, v.speed, dest) for v in sim.state.lane_vehicles[li]
             )
             assert got == lanes[li], f"lane {li} diverged at step {t}"
         assert [(s.pi, s.tau) for s in sim.node_states] == ref.node_snapshot(), (

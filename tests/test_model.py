@@ -13,7 +13,6 @@ from hcasim import (
     Level1State,
     NetworkTopology,
     SimConfig,
-    Vehicle,
     check_level1,
     config_digest,
     topology_digest,
@@ -28,11 +27,6 @@ from netgen import random_topology
 
 def test_signal_cell_defaults_to_lane_end():
     lane = LaneDescriptor(40, None, 0, ((1, 1.0),))
-    assert lane.signal_cell == 40
-
-
-def test_signal_cell_explicit_value_kept():
-    lane = LaneDescriptor(40, None, 0, ((1, 1.0),), signal_cell=40)
     assert lane.signal_cell == 40
 
 
@@ -125,9 +119,9 @@ def test_validator_lane_length(cross):
     assert any("length" in v for v in validate_topology(_mutate(cross, length=0)))
 
 
-def test_validator_signal_cell_position(cross):
-    bad = _mutate(cross, signal_cell=5)
-    assert any("signal_cell" in v for v in validate_topology(bad))
+def test_validator_accepts_a_lane_given_a_new_length(cross):
+    # the stop line follows the lane end; it is not stored separately
+    assert validate_topology(_mutate(cross, length=20)) == []
 
 
 def test_validator_dangling_intersection_refs(cross):
@@ -238,9 +232,3 @@ def test_check_level1_detects_bounds_and_tags(cross):
     state.lane_vehicles[0][0].lane = 2
     assert any("tagged" in v for v in check_level1(state, cross, 2))
 
-
-def test_vehicle_dest_lifecycle():
-    veh = Vehicle(0, 0, 0, 0)
-    assert veh.dest is None
-    veh.dest = 9
-    assert veh.dest == 9

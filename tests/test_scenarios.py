@@ -12,10 +12,10 @@ from hcasim import (
     arterial_config,
     build_arterial,
     build_grid,
+    config_digest,
     derive_compatibility,
     grid_config,
     load_config,
-    tuned_alpha,
     validate_topology,
 )
 from conftest import fork_topology
@@ -79,6 +79,7 @@ def test_grid_single_road_degenerate():
     [
         (dict(roads_per_direction=0), "must be >= 1"),
         (dict(block_cells=1), "must be >= 2"),
+        (dict(v_max=0), "v_max=0: must be >= 1"),
     ],
 )
 def test_grid_rejects_bad_sizes(kwargs, match):
@@ -191,6 +192,7 @@ def test_arterial_side_roads_cross_and_leave():
         (dict(intersections=0), "must be >= 1"),
         (dict(block_cells=1), "must be >= 2"),
         (dict(side_q=1.5), "probability out of range"),
+        (dict(v_max=0), "v_max=0: must be >= 1"),
     ],
 )
 def test_arterial_rejects_bad_inputs(kwargs, match):
@@ -240,8 +242,6 @@ def test_config_factories_apply_tuned_weights():
     assert grid_config().alpha == 1.0
     assert arterial_config().alpha == 0.25
     assert grid_config(alpha=0.5).alpha == 0.5
-    assert tuned_alpha("grid") == 1.0
-    assert tuned_alpha("arterial") == 0.25
 
 
 def test_config_factories_pass_extras_through():
@@ -329,11 +329,44 @@ def test_load_config_fixed_time_split(tmp_path):
             "invalid fixed_time_split",
         ),
         ("p = 1.5\n[scenario]\nkind = grid\n", "probability out of range"),
+        ("v_max = 0\n[scenario]\nkind = grid\n", "v_max=0: must be >= 1"),
+        ("q = 0.1\nq = 0.3\n[scenario]\nkind = grid\n", r":2: duplicate key 'q'"),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, text, match):
     with pytest.raises(ConfigError, match=match):
         load_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("kind, factory", [("grid", grid_config), ("arterial", arterial_config)])
+def test_load_config_omitted_keys_take_factory_defaults(tmp_path, kind, factory):
+    assert load_config(_write(tmp_path, f"[scenario]\nkind = {kind}\n")) == factory()
+
+
+_EVERY_TOP_KEY = (
+    "v_max = 3\np = 0.3\nq = 0.15\nalpha = 0.8\nstrategy = fixed_time\nhorizon = 100\n"
+    "seed = 42\nmin_green = 3\nstop_window = 10\nfixed_time_split = 20, 10\n"
+)
+_EVERY_TOP_KWARG = dict(
+    v_max=3, p=0.3, q=0.15, alpha=0.8, strategy="fixed_time", horizon=100, seed=42,
+    min_green=3, stop_window=10, fixed_time_split=(20, 10),
+)
+
+
+@pytest.mark.parametrize(
+    "scenario, factory, kwargs",
+    [
+        ("kind = grid\nroads_per_direction = 2\nblock = 10\n", grid_config,
+         dict(roads_per_direction=2, block_cells=10)),
+        ("kind = arterial\nintersections = 3\nblock = 12\nside_q = 0.05\n", arterial_config,
+         dict(intersections=3, block_cells=12, side_q=0.05)),
+    ],
+)
+def test_load_config_every_key_equals_factory(tmp_path, scenario, factory, kwargs):
+    cfg = load_config(_write(tmp_path, _EVERY_TOP_KEY + "[scenario]\n" + scenario))
+    want = factory(**_EVERY_TOP_KWARG, **kwargs)
+    assert cfg == want
+    assert config_digest(cfg) == config_digest(want)
 
 
 def test_load_config_comments_and_blanks(tmp_path):

@@ -103,7 +103,6 @@ def test_green_crossing_maps_cells_and_speed(cross):
     state = state_with(cross, (0, 9, 1))
     advance_all(state, cross, ALL_GREEN, 2, 0.0, RngStream(0))
     assert _vehicles(state, 2) == [(1, 2, 0)]
-    assert state.lane_vehicles[2][0].dest == 9  # exit lane destination set
 
 
 def test_crossing_brakes_against_successor_queue(cross):
@@ -140,7 +139,7 @@ def test_transfer_conflict_squeeze_out(merge):
 
 
 def test_exit_lane_removal(cross):
-    state = state_with(cross, (2, 9, 1, 9))
+    state = state_with(cross, (2, 9, 1))
     removed = advance_all(state, cross, ALL_GREEN, 2, 0.0, RngStream(0))
     assert [v.id for v in removed] == [0]
     assert state.vehicle_count == 0
@@ -148,7 +147,7 @@ def test_exit_lane_removal(cross):
 
 def test_exit_lane_is_open_road(cross):
     # no stop line on the way out: full speed regardless of signals
-    state = state_with(cross, (2, 3, 2, 9))
+    state = state_with(cross, (2, 3, 2))
     advance_all(state, cross, RED, 2, 0.0, RngStream(0))
     assert _vehicles(state, 2) == [(5, 2, 0)]
 
@@ -217,12 +216,12 @@ def test_committed_turn_draw_stays_consumed_when_dawdled(fork):
 
 
 def test_sweep_raises_on_corrupted_exit_vehicle(cross):
-    # a vehicle on an exit lane must carry a destination; without one it
-    # would run off the network end with no committed successor
-    state = state_with(cross, (2, 9, 2))
-    assert state.lane_vehicles[2][0].dest is None  # deliberately corrupt
+    # a leader parked past the end of a 10-cell lane (deliberately corrupt)
+    # leaves its follower room to run off the lane under red, where no exit
+    # was committed
+    state = state_with(cross, (0, 9, 2), (0, 15, 0))
     with pytest.raises(SimulationError, match="without a committed exit"):
-        advance_all(state, cross, ALL_GREEN, 2, 0.0, RngStream(0))
+        advance_all(state, cross, RED, 2, 0.0, RngStream(0))
 
 
 # -- injection ----------------------------------------------------------------
@@ -234,7 +233,6 @@ def test_injection_places_at_entry_at_speed_zero(cross):
     placed = inj.inject(state, RngStream(0))
     assert placed == [0]
     assert _vehicles(state, 0) == [(0, 0, 0)]
-    assert state.lane_vehicles[0][0].dest is None  # not an exit lane
     assert inj.total_injected == 1
 
 
@@ -266,13 +264,15 @@ def test_injection_one_draw_per_entry_per_step(cross):
 
 
 def test_injection_dest_on_exit_entry():
-    # an entry sitting on a network-exit lane tags arrivals for removal
+    # an arrival at an entry on a network-exit lane leaves past its last cell
     lanes = (LaneDescriptor(6, None, None),)
     topo = NetworkTopology(lanes, (), ((0, 0),))
     inj = InjectionProcess(topo, (1.0,))
     state = Level1State.empty(topo)
     inj.inject(state, RngStream(0))
-    assert state.lane_vehicles[0][0].dest == 5
+    rng = RngStream(0)
+    removed = [advance_all(state, topo, [0], 2, 0.0, rng) for _ in range(4)]
+    assert [[v.id for v in r] for r in removed] == [[], [], [], [0]]
 
 
 def test_injection_intensity_count_mismatch(cross):

@@ -32,6 +32,7 @@ from .model import (
     IntersectionState,
     LaneDescriptor,
     Level1State,
+    Level3State,
     NetworkTopology,
     SimConfig,
     SimulationError,
@@ -54,7 +55,6 @@ from .signals import (
     FixedTimeSelector,
     controller_strategy,
     coordination_priority,
-    phase_pressure,
     select_phase,
 )
 from .vehicles import (
@@ -77,6 +77,7 @@ __all__ = [
     "IntersectionState",
     "LaneDescriptor",
     "Level1State",
+    "Level3State",
     "MetricsRecord",
     "NetworkTopology",
     "RngStream",
@@ -106,7 +107,6 @@ __all__ = [
     "derive_compatibility",
     "grid_config",
     "load_config",
-    "phase_pressure",
     "pick_exit",
     "randomize",
     "read_compare_csv",

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
+
+import numpy as np
 
 from .lanes import apply_signal_indications, compute_backlog, compute_occupancy
 from .model import (
     ConfigError,
-    IntersectionState,
     Level1State,
+    Level3State,
     SimConfig,
     SimulationError,
     check_level1,
@@ -100,14 +102,15 @@ class Simulation:
         self.rng = RngStream(config.seed)
         self.injector = InjectionProcess(config.topology, config.resolved_intensities())
         self.selector = controller_strategy(config)
-        self.node_states = [
-            IntersectionState(0, 0) for _ in config.topology.intersections
-        ]
-        self.gamma = apply_signal_indications(
-            [st.pi for st in self.node_states], config.topology
+        n_nodes = config.topology.n_intersections
+        self.node_states = Level3State(
+            np.zeros(n_nodes, dtype=np.intp), np.zeros(n_nodes, dtype=np.intp)
         )
+        self.gamma = apply_signal_indications([0] * n_nodes, config.topology)
         self.occupancy = compute_occupancy(self.state)
-        self.backlog = compute_backlog(self.occupancy, config.topology)
+        # The network starts empty, so every backlog is 0.0; the first step
+        # compiles the topology's tables.
+        self.backlog = np.zeros(config.topology.n_lanes)
         self.t = 0
         self.total_stop_delay = 0
         self.removed_total = 0
@@ -124,15 +127,20 @@ class Simulation:
         self.occupancy = compute_occupancy(self.state)
         self.backlog = compute_backlog(self.occupancy, self.topology)
 
-        states = self.selector.select(self.topology, self.backlog, self.node_states)
-        gamma = self.gamma
-        for node, old, new in zip(self.topology.intersections, self.node_states, states):
-            if old.pi != new.pi:
-                for li in node.phases[old.pi]:
+        old = self.node_states
+        new = self.selector.select(self.topology, self.backlog, old)
+        switched = np.flatnonzero(new.pi != old.pi)
+        if switched.size:
+            nodes = self.topology.intersections
+            gamma = self.gamma
+            for i, was, now in zip(
+                switched.tolist(), old.pi[switched].tolist(), new.pi[switched].tolist()
+            ):
+                for li in nodes[i].phases[was]:
                     gamma[li] = 0
-                for li in node.phases[new.pi]:
+                for li in nodes[i].phases[now]:
                     gamma[li] = 1
-        self.node_states = states
+        self.node_states = new
 
         self.last_stopped = count_stopped(
             self.state, cfg.stop_window, frozenset(placed) if placed else frozenset()
@@ -174,9 +182,9 @@ class Simulation:
 def _write_trace_row(writer, sim: Simulation) -> None:
     # Fixed decimal formatting keeps traces byte-comparable across platforms.
     row: list[str] = [str(sim.t)]
-    row += [str(st.pi) for st in sim.node_states]
+    row += [str(pi) for pi in sim.node_states.pi.tolist()]
     row += [str(o) for o in sim.occupancy]
-    row += [f"{d:.6f}" for d in sim.backlog]
+    row += [f"{d:.6f}" for d in sim.backlog.tolist()]
     row += [str(g) for g in sim.gamma]
     row.append(str(sim.last_stopped))
     writer.writerow(row)

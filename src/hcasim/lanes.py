@@ -4,29 +4,31 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .model import Level1State, NetworkTopology
 
 
 def compute_occupancy(state: Level1State) -> list[int]:
     """Vehicles currently on each lane."""
-    return [len(lst) for lst in state.lane_vehicles]
+    return list(map(len, state.lane_vehicles))
 
 
-def compute_backlog(occupancy: Sequence[int], topology: NetworkTopology) -> list[float]:
+def compute_backlog(occupancy: Sequence[int], topology: NetworkTopology) -> np.ndarray:
     """Differential backlog per lane.
 
     A lane's backlog is the exit-weighted sum of its occupancy surplus over
-    each successor lane, accumulated left to right from 0.0 in exit order
-    (``sum()`` of floats is compensated since Python 3.12); lanes leaving the
-    network have no successors and carry a backlog of zero.
+    each successor lane, accumulated from 0.0 in exit order, one column of
+    :attr:`NetworkTopology.tables` at a time (``sum()`` of floats is
+    compensated since Python 3.12); lanes leaving the network have no
+    successors and carry a backlog of zero.
     """
-    out: list[float] = []
-    for o_l, lane in zip(occupancy, topology.lanes):
-        total = 0.0
-        for t, w in lane.exits:
-            total += w * (o_l - occupancy[t])
-        out.append(total)
-    return out
+    tables = topology.tables
+    occ = np.array(occupancy, dtype=np.intp)
+    total = np.zeros(len(occ))
+    for targets, weights in zip(tables.exit_targets, tables.exit_weights):
+        total += weights * (occ - occ[targets])
+    return total
 
 
 def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -> list[int]:

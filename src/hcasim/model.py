@@ -3,8 +3,8 @@
 Level 1 tracks individual vehicles on lane cells, level 2 tracks per-lane
 (occupancy, backlog, signal) triples, level 3 tracks per-intersection phase
 state.  Topology objects are immutable after construction; the mutable
-simulation state lives in :class:`Level1State` and small per-step arrays
-owned by the engine.
+simulation state lives in :class:`Level1State`, :class:`Level3State` and
+small per-step arrays owned by the engine.
 
 Geometry conventions:
 
@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -75,25 +78,53 @@ class IntersectionDescriptor:
     neighbors: tuple[tuple[int, int], ...] = ()
     compatibility: frozenset[tuple[int, int, int]] = frozenset()
 
-    @cached_property
-    def coordination_table(self) -> tuple[tuple[int, int, dict[int, tuple[int, ...]]], ...]:
-        """``(neighbor, travel, {neighbor_phase: own phases})`` per neighbor.
 
-        ``compatibility`` regrouped in one pass, so the own phases a
-        neighbor's running phase feeds are a single lookup away.  Neighbors
-        that feed no phase, and triples naming no phase of this node, are
-        left out: they can never raise a priority.  Built on first use and
-        cached on the descriptor.
-        """
-        feeds: dict[int, dict[int, list[int]]] = {}
-        for nbr, nbr_phase, own in self.compatibility:
-            if 0 <= own < len(self.phases):
-                feeds.setdefault(nbr, {}).setdefault(nbr_phase, []).append(own)
-        return tuple(
-            (nbr, travel, {k: tuple(v) for k, v in feeds[nbr].items()})
-            for nbr, travel in self.neighbors
-            if nbr in feeds
-        )
+class TopologyTables(NamedTuple):
+    """Padded array form of a topology's level-2 and level-3 structure.
+
+    Columns are stored first, so a kernel adds one column per pass and the
+    sums keep the stored left-to-right order.
+    """
+
+    exit_targets: np.ndarray  # [max exits, lanes]; padding: the lane itself
+    exit_weights: np.ndarray  # [max exits, lanes]; padding: 0.0
+    phase_lanes: np.ndarray   # [max lanes per phase, nodes, max phases]; padding: -1
+    phase_base: np.ndarray    # [nodes, max phases]: 0.0, or -inf for a phase the node lacks
+    coordination: np.ndarray  # [4, entries]: own flat phase, neighbor, its phase, travel
+
+
+def _compile_tables(
+    lanes: tuple[LaneDescriptor, ...], nodes: tuple[IntersectionDescriptor, ...]
+) -> TopologyTables:
+    width = max((len(lane.exits) for lane in lanes), default=0)
+    exit_targets = np.tile(np.arange(len(lanes), dtype=np.intp), (width, 1))
+    exit_weights = np.zeros((width, len(lanes)))
+    for li, lane in enumerate(lanes):
+        for j, (target, w) in enumerate(lane.exits):
+            exit_targets[j, li] = target
+            exit_weights[j, li] = w
+
+    # at least one column, so that argmax has an axis to reduce over even
+    # on a network without intersections
+    n_phases = max((len(node.phases) for node in nodes), default=1)
+    depth = max((len(ph) for node in nodes for ph in node.phases), default=0)
+    phase_lanes = np.full((depth, len(nodes), n_phases), -1, dtype=np.intp)
+    phase_base = np.full((len(nodes), n_phases), -np.inf)
+    for i, node in enumerate(nodes):
+        phase_base[i, : len(node.phases)] = 0.0
+        for k, phase in enumerate(node.phases):
+            phase_lanes[: len(phase), i, k] = phase
+    # one entry per (neighbor link, compatibility triple) pair; a triple
+    # naming no phase of its node can never raise a priority and is dropped
+    entries = [
+        (i * n_phases + own, nbr, nbr_phase, travel)
+        for i, node in enumerate(nodes)
+        for nbr, travel in node.neighbors
+        for linked, nbr_phase, own in node.compatibility
+        if linked == nbr and 0 <= own < len(node.phases)
+    ]
+    coordination = np.array(entries, dtype=np.intp).reshape(-1, 4).T
+    return TopologyTables(exit_targets, exit_weights, phase_lanes, phase_base, coordination)
 
 
 @dataclass(frozen=True)
@@ -115,6 +146,16 @@ class NetworkTopology:
     @property
     def n_intersections(self) -> int:
         return len(self.intersections)
+
+    @cached_property
+    def tables(self) -> TopologyTables:
+        """The padded arrays the level-2 and level-3 kernels run on.
+
+        Built on first use and cached on the topology.  A lane's exits and a
+        phase's lanes keep their stored order; padding adds 0.0 to a sum,
+        and a phase a node lacks scores -inf.
+        """
+        return _compile_tables(self.lanes, self.intersections)
 
 
 @dataclass(slots=True)
@@ -151,7 +192,7 @@ class Level1State:
 
     @property
     def vehicle_count(self) -> int:
-        return sum(len(lst) for lst in self.lane_vehicles)
+        return sum(map(len, self.lane_vehicles))
 
 
 @dataclass(frozen=True)
@@ -160,6 +201,42 @@ class IntersectionState:
 
     pi: int
     tau: int
+
+
+class Level3State(Sequence):
+    """Intersection-level state of every node as two int arrays.
+
+    ``pi[i]`` is node ``i``'s active phase and ``tau[i]`` the steps since it
+    came up.  Indexing and iteration give :class:`IntersectionState` views
+    built on access; the selectors read and write the arrays.
+    """
+
+    __slots__ = ("pi", "tau")
+
+    def __init__(self, pi: np.ndarray, tau: np.ndarray):
+        self.pi = pi
+        self.tau = tau
+
+    @classmethod
+    def of(cls, states: Iterable[IntersectionState]) -> "Level3State":
+        """``states`` as a Level3State (itself when it already is one)."""
+        if isinstance(states, Level3State):
+            return states
+        states = list(states)
+        return cls(
+            np.array([s.pi for s in states], dtype=np.intp),
+            np.array([s.tau for s in states], dtype=np.intp),
+        )
+
+    def __len__(self) -> int:
+        return len(self.pi)
+
+    def __getitem__(self, i: int) -> IntersectionState:
+        return IntersectionState(int(self.pi[i]), int(self.tau[i]))
+
+    def __iter__(self) -> Iterator[IntersectionState]:
+        for pi, tau in zip(self.pi.tolist(), self.tau.tolist()):
+            yield IntersectionState(pi, tau)
 
 
 _STRATEGIES = ("backpressure", "hca", "fixed_time")

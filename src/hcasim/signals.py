@@ -13,45 +13,63 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .model import (
     IntersectionDescriptor,
     IntersectionState,
+    Level3State,
     NetworkTopology,
     SimConfig,
     SimulationError,
+    TopologyTables,
 )
 
 
-def phase_pressure(phase: Sequence[int], backlog: Sequence[float]) -> float:
-    """Total differential backlog over the lanes a phase serves.
+def _one_node(node: IntersectionDescriptor) -> TopologyTables:
+    return NetworkTopology((), (node,), ()).tables
 
-    Accumulated left to right from 0.0, so the value does not depend on the
-    Python version (``sum()`` of floats is compensated since 3.12).
+
+def _coordination(tables: TopologyTables, neighbors: Level3State) -> np.ndarray:
+    """Coordination priority of every (node, phase) slot, floored at zero.
+
+    Each coordination entry credits its own phase with the neighbor's
+    arrival score ``tau - travel`` when the neighbor runs the entry's phase
+    and the score is positive; a phase keeps its best credit.
     """
-    total = 0.0
-    for l in phase:
-        total += backlog[l]
-    return total
+    own, nbr, nbr_phase, travel = tables.coordination
+    score = neighbors.tau[nbr] - travel
+    hit = (score > 0) & (neighbors.pi[nbr] == nbr_phase)
+    prio = np.zeros(tables.phase_base.size)
+    np.maximum.at(prio, own[hit], score[hit])
+    return prio.reshape(tables.phase_base.shape)
 
 
-def _priorities(
-    node: IntersectionDescriptor, neighbor_states: Sequence[IntersectionState]
-) -> list[float]:
-    """Coordination priority of every phase of ``node``, floored at zero.
+def _select(
+    tables: TopologyTables,
+    backlog: Sequence[float],
+    current: Level3State,
+    neighbors: Level3State,
+    alpha: float,
+    min_green: int,
+) -> Level3State:
+    """The rule of :func:`select_phase` for every node of ``tables`` at once.
 
-    Reads :attr:`IntersectionDescriptor.coordination_table`: each neighbor's
-    running phase looks up the own phases it feeds, which then take that
-    neighbor's arrival score ``tau - travel`` if it beats their best so far.
+    With ``alpha`` at zero the coordination term is not evaluated at all.
     """
-    best = [0.0] * len(node.phases)
-    for nbr, travel, feeds in node.coordination_table:
-        st = neighbor_states[nbr]
-        score = st.tau - travel
-        if score > 0:
-            for own in feeds.get(st.pi, ()):
-                if score > best[own]:
-                    best[own] = float(score)
-    return best
+    padded = np.append(backlog, 0.0)  # padding lane -1 reads a backlog of 0.0
+    scores = tables.phase_base.copy()
+    for lanes in tables.phase_lanes:
+        scores += padded[lanes]
+    if alpha:
+        scores += alpha * _coordination(tables, neighbors)
+    pi, tau = current.pi, current.tau
+    rows = np.arange(len(pi))
+    top = scores.argmax(axis=1)  # the lowest phase index among the maxima
+    keep = scores[rows, pi] == scores[rows, top]
+    if min_green:
+        keep |= tau < min_green
+    return Level3State(np.where(keep, pi, top), np.where(keep, tau + 1, 0))
 
 
 def coordination_priority(
@@ -69,38 +87,7 @@ def coordination_priority(
     whose neighbors all run incompatible phases) would carry a -inf score
     that overrides arbitrarily large queue pressure whenever alpha > 0.
     """
-    return _priorities(node, neighbor_states)[phase]
-
-
-def _next_states(
-    nodes: Sequence[IntersectionDescriptor],
-    currents: Sequence[IntersectionState],
-    backlog: Sequence[float],
-    neighbor_states: Sequence[IntersectionState],
-    alpha: float,
-    min_green: int,
-) -> list[IntersectionState]:
-    """The selection rule of :func:`select_phase`, over a run of nodes.
-
-    With ``alpha`` at zero the coordination term is not evaluated at all.
-    """
-    out: list[IntersectionState] = []
-    for node, current in zip(nodes, currents):
-        pi, tau = current.pi, current.tau
-        if tau < min_green:
-            out.append(IntersectionState(pi, tau + 1))
-            continue
-        scores = [phase_pressure(lanes, backlog) for lanes in node.phases]
-        if alpha:
-            for idx, prio in enumerate(_priorities(node, neighbor_states)):
-                scores[idx] += alpha * prio
-        best = max(scores)
-        chosen = pi if scores[pi] == best else scores.index(best)
-        if chosen == pi:
-            out.append(IntersectionState(pi, tau + 1))
-        else:
-            out.append(IntersectionState(chosen, 0))
-    return out
+    return float(_coordination(_one_node(node), Level3State.of(neighbor_states))[0, phase])
 
 
 def select_phase(
@@ -118,9 +105,16 @@ def select_phase(
     the lowest phase index among the maxima wins.  ``tau`` is the elapsed
     time since activation: 0 on the step a phase comes up, incremented on
     every held step.  While ``tau`` is below ``min_green`` the incumbent is
-    held without scoring.
+    held whatever the scores.
     """
-    return _next_states((node,), (current,), backlog, neighbor_states, alpha, min_green)[0]
+    return _select(
+        _one_node(node),
+        backlog,
+        Level3State.of((current,)),
+        Level3State.of(neighbor_states),
+        alpha,
+        min_green,
+    )[0]
 
 
 class AdaptiveSelector:
@@ -135,11 +129,12 @@ class AdaptiveSelector:
         topology: NetworkTopology,
         backlog: Sequence[float],
         states: Sequence[IntersectionState],
-    ) -> list[IntersectionState]:
+    ) -> Level3State:
         # `states` is the previous step's snapshot for every node, so all
         # intersections decide against the same picture.
-        return _next_states(
-            topology.intersections, states, backlog, states, self.alpha, self.min_green
+        states = Level3State.of(states)
+        return _select(
+            topology.tables, backlog, states, states, self.alpha, self.min_green
         )
 
 
@@ -153,35 +148,45 @@ class FixedTimeSelector:
 
     def __init__(self, split: Sequence[int]):
         self.split = tuple(split)
+        self._plan: tuple[NetworkTopology, np.ndarray, np.ndarray] | None = None
 
-    def _duration(self, phase: int) -> int:
-        return self.split[phase % len(self.split)]
+    def _compile(self, topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:
+        """Per node and phase: the green time, and the next phase with one."""
+        shape = topology.tables.phase_base.shape
+        duration = np.zeros(shape, dtype=np.intp)
+        following = np.zeros(shape, dtype=np.intp)
+        for i, node in enumerate(topology.intersections):
+            n_phases = len(node.phases)
+            durs = [self.split[j % len(self.split)] for j in range(n_phases)]
+            if not any(durs):
+                raise SimulationError(
+                    f"intersection {i}: every phase has a zero green split"
+                )
+            duration[i, :n_phases] = durs
+            for j in range(n_phases):
+                nxt = (j + 1) % n_phases
+                while not durs[nxt]:
+                    nxt = (nxt + 1) % n_phases
+                following[i, j] = nxt
+        return duration, following
 
     def select(
         self,
         topology: NetworkTopology,
         backlog: Sequence[float],
         states: Sequence[IntersectionState],
-    ) -> list[IntersectionState]:
-        out: list[IntersectionState] = []
-        for i, node in enumerate(topology.intersections):
-            st = states[i]
-            # a phase with green time G is active for tau = 0 .. G-1
-            if st.tau + 1 < self._duration(st.pi):
-                out.append(IntersectionState(st.pi, st.tau + 1))
-                continue
-            n_phases = len(node.phases)
-            nxt = (st.pi + 1) % n_phases
-            for _ in range(n_phases):
-                if self._duration(nxt):
-                    break
-                nxt = (nxt + 1) % n_phases
-            else:
-                raise SimulationError(
-                    f"intersection {i}: every phase has a zero green split"
-                )
-            out.append(IntersectionState(nxt, 0))
-        return out
+    ) -> Level3State:
+        if self._plan is None or self._plan[0] is not topology:
+            self._plan = (topology, *self._compile(topology))
+        _, duration, following = self._plan
+        states = Level3State.of(states)
+        pi, tau = states.pi, states.tau
+        rows = np.arange(len(pi))
+        # a phase with green time G is active for tau = 0 .. G-1
+        hold = tau + 1 < duration[rows, pi]
+        return Level3State(
+            np.where(hold, pi, following[rows, pi]), np.where(hold, tau + 1, 0)
+        )
 
 
 def controller_strategy(config: SimConfig):

@@ -103,7 +103,7 @@ def advance_all(
     first_occ = [
         lst[0].cell if lst else lengths[li] for li, lst in enumerate(old_lists)
     ]
-    total = sum(len(lst) for lst in old_lists)
+    total = sum(map(len, old_lists))
     draws = rng.dawdle.random(total).tolist() if total else _NO_DRAWS
     di = 0
     new_lists: list[list[Vehicle]] = [[] for _ in lanes]

@@ -64,6 +64,39 @@ def merge_topology(length: int = 10, v_max: int = 2) -> NetworkTopology:
     return derive_compatibility(topo, v_max)
 
 
+def mixed_phase_topology(v_max: int = 2) -> NetworkTopology:
+    """Three nodes in a row with three, two and three phases.
+
+    Node 0 takes three entry approaches and feeds node 1, which feeds node
+    2; node 2's middle phase serves two lanes, one of them shared with its
+    last phase.  Five lanes split two ways.
+    """
+    L = LaneDescriptor
+    lanes = (
+        L(20, None, 0, ((3, 0.6), (4, 0.4))),
+        L(15, None, 0, ((3, 0.5), (5, 0.5))),
+        L(12, None, 0, ((5, 1.0),)),
+        L(25, 0, 1, ((7, 0.7), (8, 0.3))),
+        L(10, 0, None),
+        L(10, 0, None),
+        L(18, None, 1, ((8, 1.0),)),
+        L(22, 1, 2, ((11, 0.5), (12, 0.5))),
+        L(10, 1, None),
+        L(16, None, 2, ((11, 1.0),)),
+        L(14, None, 2, ((12, 0.4), (13, 0.6))),
+        L(10, 2, None),
+        L(10, 2, None),
+        L(10, 2, None),
+    )
+    nodes = (
+        IntersectionDescriptor((0, 1, 2), ((0,), (1,), (2,))),
+        IntersectionDescriptor((3, 6), ((3,), (6,))),
+        IntersectionDescriptor((7, 9, 10), ((7,), (9, 10), (10,))),
+    )
+    entries = ((0, 0), (1, 0), (2, 0), (6, 0), (9, 0), (10, 0))
+    return derive_compatibility(NetworkTopology(lanes, nodes, entries), v_max)
+
+
 def state_with(topology: NetworkTopology, *vehicles) -> Level1State:
     """Level-1 state holding the given (lane, cell, speed) vehicles."""
     state = Level1State.empty(topology)

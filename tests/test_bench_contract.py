@@ -1,9 +1,12 @@
 """What the benchmark in ``perfbench/`` relies on from hcasim.
 
-The span tracer wraps hcasim functions by name and the compare workload
-rebinds ``run_many`` with a wrapper of a fixed signature; a rename or a
-signature change would break ``perfbench/run.py --trace 1`` without any
-test of the package noticing.  The tracer module is only loaded here,
+The span tracer wraps hcasim functions by name, reads ``alpha`` off the
+adaptive selector and counts phase switches by zipping ``select``'s
+``states`` argument against its result after the call; the compare
+workload rebinds ``run_many`` with a wrapper of a fixed signature.  A
+rename, a signature change or a selector that rewrote its input would
+break ``perfbench/run.py --trace 1`` without any test of the package
+noticing.  The tracer module is only loaded here,
 never instrumented, because instrumenting rebinds hcasim globally.
 """
 
@@ -14,8 +17,18 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import hcasim.experiments
 import hcasim.signals
+from hcasim import (
+    AdaptiveSelector,
+    FixedTimeSelector,
+    IntersectionState,
+    Simulation,
+    controller_strategy,
+    grid_config,
+)
 from hcasim.experiments import run_many
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -43,3 +56,35 @@ def test_traced_names_resolve():
 def test_run_many_positional_signature():
     params = list(inspect.signature(run_many).parameters)
     assert params == ["config", "runs", "base_seed", "jobs", "on_result"]
+
+
+def _stepped_grid() -> Simulation:
+    sim = Simulation(grid_config(q=0.2, horizon=40, seed=3))
+    for _ in range(40):
+        sim.step()
+    return sim
+
+
+@pytest.mark.parametrize(
+    "selector", [AdaptiveSelector(alpha=1.0, min_green=2), FixedTimeSelector((3, 5))]
+)
+def test_select_returns_new_states_and_leaves_its_input(selector):
+    sim = _stepped_grid()
+    for states in (sim.node_states, list(sim.node_states)):
+        before = [(s.pi, s.tau) for s in states]
+        out = selector.select(sim.topology, sim.backlog, states)
+        assert out is not states
+        assert len(out) == len(before)
+        assert all(type(s.pi) is int and type(s.tau) is int for s in out)
+        assert [(s.pi, s.tau) for s in states] == before
+
+
+def test_adaptive_selector_exposes_alpha():
+    assert AdaptiveSelector(alpha=0.25).alpha == 0.25
+    assert controller_strategy(grid_config(alpha=1.5)).alpha == 1.5
+
+
+def test_node_states_iterate_to_intersection_states():
+    states = list(_stepped_grid().node_states)
+    assert len(states) == 16
+    assert all(type(s) is IntersectionState for s in states)

@@ -6,14 +6,16 @@ import csv
 import hashlib
 import io
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from hcasim import (
     ConfigError,
     IntersectionState,
+    LaneDescriptor,
     MetricsRecord,
+    NetworkTopology,
     SimConfig,
     Simulation,
     Vehicle,
@@ -26,7 +28,7 @@ from hcasim import (
 from netgen import random_config, random_topology
 from reference import RefSim
 
-from conftest import cross_topology, state_with
+from conftest import cross_topology, mixed_phase_topology, state_with
 
 
 # --- count_stopped ----------------------------------------------------------
@@ -78,7 +80,7 @@ def test_backlog_reflects_post_move_positions(cross):
     sim.step()
     assert sim.occupancy == [0, 1, 0, 0]
     # lane 1 pressure 1 beats lane 0 pressure 0: phase 1 activates this step
-    assert sim.node_states == [IntersectionState(1, 0)]
+    assert list(sim.node_states) == [IntersectionState(1, 0)]
     assert sim.gamma == [0, 1, 1, 1]
 
 
@@ -131,6 +133,8 @@ def test_metrics_record_fields(cross):
     assert rec.vehicles_injected == rec.vehicles_removed + rec.vehicles_in_network
     assert rec.total_stop_delay >= 0
     assert len(rec.config_digest) == 16
+    # plain Python values only: a numpy scalar would compare equal but not repr equal
+    assert [type(getattr(rec, f.name)) for f in fields(rec)] == [int] * 6 + [str]
 
 
 def test_zero_demand_runs_empty(cross):
@@ -264,6 +268,17 @@ def test_known_run_regression():
     assert rec.vehicles_in_network == 37
 
 
+@pytest.mark.parametrize(
+    "strategy,split", [("hca", None), ("backpressure", None), ("fixed_time", (3,))]
+)
+def test_network_without_intersections_runs(strategy, split):
+    # one open lane and no node: level 3 has nothing to select
+    topo = NetworkTopology((LaneDescriptor(10, None, None),), (), ((0, 0),))
+    cfg = SimConfig(topo, horizon=20, strategy=strategy, fixed_time_split=split)
+    rec = run(cfg, check_invariants=True)
+    assert (rec.vehicles_injected, rec.vehicles_removed, rec.vehicles_in_network) == (3, 2, 1)
+
+
 def test_invariant_checking_runs_clean():
     cfg = grid_config(q=0.2, horizon=150, seed=8)
     run(cfg, check_invariants=True)
@@ -292,8 +307,25 @@ def test_invariant_checking_runs_clean():
             lambda: SimConfig(random_topology(17), q=0.3, alpha=1.0, seed=17, horizon=2000),
             MetricsRecord(31670, 3538, 3485, 53, 2000, 17, "5006a4b4291af459"),
         ),
+        (
+            # netgen builds two-phase nodes only; this network mixes in three
+            lambda: SimConfig(mixed_phase_topology(), q=0.25, alpha=0.5, seed=23, horizon=1500),
+            MetricsRecord(36851, 2171, 2108, 63, 1500, 23, "95b6d0fdd31d3ad0"),
+        ),
+        (
+            lambda: SimConfig(
+                mixed_phase_topology(), q=0.25, alpha=0.5, seed=23, horizon=1500, min_green=3
+            ),
+            MetricsRecord(47146, 1989, 1927, 62, 1500, 23, "d529a4bcbe3c5cb4"),
+        ),
     ],
-    ids=["grid4-hca", "arterial-min-green-window", "netgen17-splits"],
+    ids=[
+        "grid4-hca",
+        "arterial-min-green-window",
+        "netgen17-splits",
+        "mixed-phases",
+        "mixed-phases-min-green",
+    ],
 )
 def test_pinned_records(make, expect):
     assert run(make()) == expect
@@ -306,4 +338,16 @@ def test_pinned_trace_digest(tmp_path):
     assert len(data) == 113722
     assert hashlib.sha256(data).hexdigest() == (
         "c5f1111b3f7b844d6fe048790fb43b8920da70a17e5a37772dcf07faf971531f"
+    )
+
+
+def test_pinned_fixed_time_trace_digest(tmp_path):
+    # pinned before level 3 ran as array kernels
+    path = tmp_path / "trace.csv"
+    cfg = arterial_config(strategy="fixed_time", fixed_time_split=(20, 20), horizon=200)
+    run(cfg, trace=str(path))
+    data = path.read_bytes()
+    assert len(data) == 37109
+    assert hashlib.sha256(data).hexdigest() == (
+        "ccc7b779601b3a8953b8ecb1601abca93f3a9999e3db2f2b8d682dd04d44d17b"
     )

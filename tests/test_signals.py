@@ -14,11 +14,12 @@ from hcasim import (
     FixedTimeSelector,
     IntersectionDescriptor,
     IntersectionState,
+    LaneDescriptor,
+    NetworkTopology,
     SimConfig,
     SimulationError,
     controller_strategy,
     coordination_priority,
-    phase_pressure,
     select_phase,
 )
 from conftest import cross_topology
@@ -31,16 +32,6 @@ def _node(phases, neighbors=(), compat=()):
 
 
 # --- phase pressure -------------------------------------------------------
-
-
-def test_phase_pressure_sums_served_lanes():
-    assert phase_pressure((0, 2), [1.5, 9.0, -0.5, 4.0]) == 1.0
-    assert phase_pressure((), [1.0, 2.0]) == 0.0
-
-
-def test_phase_pressure_accumulates_left_to_right():
-    # ((0.0 + 0.1) + 0.2) + 0.3; a compensated sum (Python 3.12's sum()) gives 0.6
-    assert phase_pressure((0, 1, 2), [0.1, 0.2, 0.3]) == 0.6000000000000001
 
 
 def test_select_scores_three_lane_phase_left_to_right():
@@ -129,7 +120,7 @@ def test_priority_floors_finite_negative_scores():
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
 def test_coordination_table_matches_brute_force(seed, data):
-    # the compiled (neighbor, travel, {neighbor phase: own phases}) table must
+    # the flattened (own phase, neighbor, neighbor phase, travel) entries must
     # give max(tau - travel) over compatible neighbors, floored at 0
     topo = random_topology(seed)
     states = [
@@ -272,7 +263,7 @@ def test_adaptive_selector_runs_every_node():
     topo = cross_topology()
     sel = AdaptiveSelector(alpha=0.0)
     out = sel.select(topo, [4.0, 1.0, 0.0, 0.0], [IntersectionState(1, 3)])
-    assert out == [IntersectionState(0, 0)]
+    assert list(out) == [IntersectionState(0, 0)]
 
 
 def test_fixed_time_cycles_through_split():
@@ -332,3 +323,147 @@ def test_controller_strategy_passes_min_green():
     topo = cross_topology()
     sel = controller_strategy(SimConfig(topo, strategy="hca", min_green=7))
     assert isinstance(sel, AdaptiveSelector) and sel.min_green == 7
+
+
+# --- array kernels against the scalar rules -----------------------------------
+# The selectors run one array kernel over all nodes.  The oracles below are
+# the per-node loops the kernels replaced, with the coordination priority
+# taken by brute force from ``neighbors`` and ``compatibility``.
+
+
+def _oracle_priorities(node, states):
+    return [
+        float(
+            max(
+                [
+                    states[nbr].tau - travel
+                    for nbr, travel in node.neighbors
+                    if (nbr, states[nbr].pi, phase) in node.compatibility
+                ]
+                + [0]
+            )
+        )
+        for phase in range(len(node.phases))
+    ]
+
+
+def _oracle_adaptive(topo, backlog, states, alpha, min_green):
+    out = []
+    for node, current in zip(topo.intersections, states):
+        pi, tau = current.pi, current.tau
+        if tau < min_green:
+            out.append(IntersectionState(pi, tau + 1))
+            continue
+        scores = []
+        for lanes in node.phases:
+            total = 0.0
+            for l in lanes:
+                total += backlog[l]
+            scores.append(total)
+        if alpha:
+            for idx, prio in enumerate(_oracle_priorities(node, states)):
+                scores[idx] += alpha * prio
+        best = max(scores)
+        chosen = pi if scores[pi] == best else scores.index(best)
+        if chosen == pi:
+            out.append(IntersectionState(pi, tau + 1))
+        else:
+            out.append(IntersectionState(chosen, 0))
+    return out
+
+
+def _oracle_fixed(split, topo, states):
+    out = []
+    for i, node in enumerate(topo.intersections):
+        st_ = states[i]
+        if st_.tau + 1 < split[st_.pi % len(split)]:
+            out.append(IntersectionState(st_.pi, st_.tau + 1))
+            continue
+        n_phases = len(node.phases)
+        nxt = (st_.pi + 1) % n_phases
+        for _ in range(n_phases):
+            if split[nxt % len(split)]:
+                break
+            nxt = (nxt + 1) % n_phases
+        else:
+            raise SimulationError(f"intersection {i}: every phase has a zero green split")
+        out.append(IntersectionState(nxt, 0))
+    return out
+
+
+_BACKLOGS = (-2.0, -1.0, -0.5, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def _level3_case(draw):
+    """A topology whose nodes have 2, 3 and 4 phases (and up to three more
+    nodes), a backlog and a state per node.  Node 0's lanes all carry a
+    negative backlog, so a padded phase slot that scored 0.0 would win."""
+    counts = [2, 3, 4] + draw(st.lists(st.integers(2, 4), max_size=3))
+    phase_sets, n_lanes = [], 0
+    for n_phases in counts:
+        phases = []
+        for _ in range(n_phases):
+            width = draw(st.integers(1, 3))
+            phases.append(tuple(range(n_lanes, n_lanes + width)))
+            n_lanes += width
+        phase_sets.append(tuple(phases))
+    nodes = []
+    for i, phases in enumerate(phase_sets):
+        others = [j for j in range(len(counts)) if j != i]
+        nbrs = draw(st.lists(st.sampled_from(others), unique=True, max_size=3))
+        compat = set()
+        for j in nbrs:
+            pairs = st.tuples(st.integers(0, counts[j] - 1), st.integers(0, counts[i] - 1))
+            compat |= {(j, a, b) for a, b in draw(st.sets(pairs, max_size=4))}
+        nodes.append(
+            IntersectionDescriptor(
+                tuple(l for ph in phases for l in ph),
+                phases,
+                tuple((j, draw(st.integers(1, 8))) for j in nbrs),
+                frozenset(compat),
+            )
+        )
+    lanes = tuple(LaneDescriptor(5, None, None) for _ in range(n_lanes))
+    topo = NetworkTopology(lanes, tuple(nodes), ())
+    negative = set(l for ph in phase_sets[0] for l in ph)
+    backlog = [
+        draw(st.sampled_from(_BACKLOGS[:3] if l in negative else _BACKLOGS))
+        for l in range(n_lanes)
+    ]
+    states = [
+        IntersectionState(draw(st.integers(0, n - 1)), draw(st.integers(0, 12)))
+        for n in counts
+    ]
+    return topo, backlog, states
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_level3_case(),
+    alpha=st.sampled_from((0.0, 0.25, 1.5)),
+    min_green=st.sampled_from((0, 3)),
+)
+def test_adaptive_kernel_matches_scalar_oracle(case, alpha, min_green):
+    topo, backlog, states = case
+    want = _oracle_adaptive(topo, backlog, states, alpha, min_green)
+    got = AdaptiveSelector(alpha, min_green).select(topo, backlog, states)
+    assert list(got) == want
+    # the one-node wrappers run the same kernel
+    for node, current, expect in zip(topo.intersections, states, want):
+        assert select_phase(node, backlog, states, current, alpha, min_green) == expect
+        prio = [coordination_priority(node, ph, states) for ph in range(len(node.phases))]
+        assert prio == _oracle_priorities(node, states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_level3_case(), split=st.lists(st.integers(0, 3), min_size=1, max_size=4))
+def test_fixed_time_kernel_matches_scalar_oracle(case, split):
+    topo, _, states = case
+    try:
+        want = _oracle_fixed(split, topo, states)
+    except SimulationError as exc:
+        with pytest.raises(SimulationError, match=str(exc)):
+            FixedTimeSelector(split).select(topo, [], states)
+        return
+    assert list(FixedTimeSelector(split).select(topo, [], states)) == want

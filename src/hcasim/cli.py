@@ -72,13 +72,17 @@ _OVERRIDES = {
 def _base_config(args: argparse.Namespace) -> SimConfig:
     """The --scenario configuration with every flag that was given applied.
 
-    Run and job counts are checked here too, so every bad flag is reported
-    (exit 2) before a simulation starts.
+    Run and job counts and the directories of output files are checked here
+    too, so every bad flag is reported (exit 2) before a simulation starts.
     """
     for flag in ("runs", "jobs"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ConfigError(f"--{flag} {value}: must be >= 1")
+    for flag in ("out", "trace"):
+        path = getattr(args, flag, None)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"--{flag} {path}: directory does not exist")
     scenario = args.scenario
     if scenario in SCENARIOS:
         cfg = SCENARIOS[scenario]()
@@ -86,7 +90,7 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
         path = scenario[5:]
         try:
             cfg = load_config(path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
     overrides = {
         field: getattr(args, flag)

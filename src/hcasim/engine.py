@@ -17,6 +17,7 @@ of the step, not counting vehicles placed this step.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -64,12 +65,11 @@ class MetricsRecord:
 
 
 def count_stopped(
-    state: Level1State,
-    window: int | None = None,
-    exclude_ids: frozenset[int] = frozenset(),
+    state: Level1State, window: int | None = None, first_new_id: float = math.inf
 ) -> int:
     """Vehicles standing still, optionally only within the last ``window``
-    cells of each lane, skipping the given (freshly injected) ids."""
+    cells of each lane, skipping ids from ``first_new_id`` on (ids are dense,
+    so those are the vehicles placed this step)."""
     lengths = state.lane_lengths
     # Without a window every cell counts: a cutoff of 0 admits them all.
     cutoff = [0] * len(lengths) if window is None else [n - window for n in lengths]
@@ -77,7 +77,7 @@ def count_stopped(
         1
         for li, lst in enumerate(state.lane_vehicles)
         for v in lst
-        if v.speed == 0 and v.cell >= cutoff[li] and v.id not in exclude_ids
+        if v.speed == 0 and v.cell >= cutoff[li] and v.id < first_new_id
     )
 
 
@@ -118,11 +118,11 @@ class Simulation:
 
     def step(self) -> None:
         cfg = self.config
-        placed = self.injector.inject(self.state, self.rng)
-        removed = advance_all(
+        first_new_id = self.injector.next_id
+        self.injector.inject(self.state, self.rng)
+        self.removed_total += advance_all(
             self.state, self.topology, self.gamma, cfg.v_max, cfg.p, self.rng
         )
-        self.removed_total += len(removed)
 
         self.occupancy = compute_occupancy(self.state)
         self.backlog = compute_backlog(self.occupancy, self.topology)
@@ -142,9 +142,7 @@ class Simulation:
                     gamma[li] = 1
         self.node_states = new
 
-        self.last_stopped = count_stopped(
-            self.state, cfg.stop_window, frozenset(placed) if placed else frozenset()
-        )
+        self.last_stopped = count_stopped(self.state, cfg.stop_window, first_new_id)
         self.total_stop_delay += self.last_stopped
         self.t += 1
         if self.check_invariants:

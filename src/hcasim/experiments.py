@@ -17,8 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence, get_type_hints
 
-from scipy.stats import t as _student_t
-
 from . import __version__
 from .engine import MetricsRecord, run
 from .model import ConfigError, SimConfig, config_digest
@@ -99,7 +97,10 @@ def welch_one_sided(
     # squared variances themselves can underflow to 0 while se2 > 0.
     ra, rb = va / se2, vb / se2
     df = 1.0 / (ra * ra / (n_a - 1) + rb * rb / (n_b - 1))
-    return t, float(_student_t.sf(t, df))
+    # imported here: scipy.stats is slow to load and only the p-value needs it
+    from scipy.stats import t as student_t
+
+    return t, float(student_t.sf(t, df))
 
 
 def run_many(

@@ -160,10 +160,10 @@ class NetworkTopology:
 
 @dataclass(slots=True)
 class Vehicle:
-    """One vehicle record; it leaves the network past the end of an exit lane."""
+    """One vehicle record; the lane list holding it is its lane, and it leaves
+    the network past the end of an exit lane."""
 
     id: int
-    lane: int
     cell: int
     speed: int
 
@@ -458,8 +458,6 @@ def check_level1(state: Level1State, topology: NetworkTopology, v_max: int) -> l
         length = topology.lanes[li].length
         prev = -1
         for veh in lst:
-            if veh.lane != li:
-                report.append(f"lane {li}: vehicle {veh.id} tagged with lane {veh.lane}")
             if not 0 <= veh.cell < length:
                 report.append(f"lane {li}: vehicle {veh.id} at cell {veh.cell} off-lane")
             if veh.cell <= prev:

@@ -1,16 +1,19 @@
 """Network builders and the textual configuration format.
 
-Two built-in scenarios cover the common benchmark layouts:
+Both built-in scenarios are one-way roads crossing at two-phase signalized
+intersections, laid out by one rule.  A road is the list of nodes it passes;
+through k nodes it is k + 1 consecutive lanes of equal length (entry lane
+first, exit lane last), all traffic goes straight, and its entry point is
+cell 0 of its first lane.  Roads are numbered in order, and each node gets
+one inbound lane and one phase per road that crosses it, in road order.
 
-* ``grid``: a Manhattan-style grid of one-way roads, ``roads_per_direction``
-  eastbound and the same number northbound, one signalized intersection at
-  every crossing.  Every road enters over an approach lane, passes every
-  crossing road, and leaves over an exit lane; all through traffic goes
-  straight.
-* ``arterial``: one eastbound arterial through a row of intersections, each
-  also crossed by a northbound side road with its own (usually light) demand.
+* ``grid``: ``roads_per_direction`` eastbound rows, then as many northbound
+  columns, crossing at every node of the square grid.
+* ``arterial``: one eastbound arterial through a row of intersections, then
+  one northbound side road per intersection with its own (usually light)
+  demand.
 
-Both builders only lay out lanes and phases; neighbor links and green-wave
+The builders only lay out lanes and phases; neighbor links and green-wave
 compatibility are derived from the lane geometry afterwards, so hand-built
 networks get the same treatment via :func:`derive_compatibility`.
 """
@@ -76,6 +79,39 @@ def derive_compatibility(topology: NetworkTopology, v_max: int) -> NetworkTopolo
     return NetworkTopology(topology.lanes, tuple(nodes), topology.entry_points)
 
 
+def _lay_roads(
+    roads: list[list[int]], n_nodes: int, block_cells: int, v_max: int
+) -> NetworkTopology:
+    """Lay out one-way roads, each given as the node ids it passes in order.
+
+    A road through k nodes is k + 1 consecutive lanes of ``block_cells``
+    cells: an entry lane, one lane between each pair of nodes, and an exit
+    lane.  A road's entry point is cell 0 of its first lane.  Every node
+    takes, in road order, one inbound lane and one single-lane phase per
+    road that crosses it; neighbor links and compatibility are derived.
+    """
+    if block_cells < 2:
+        raise ConfigError(f"block_cells={block_cells}: must be >= 2")
+    lanes: list[LaneDescriptor] = []
+    entries = []
+    inbound: list[list[int]] = [[] for _ in range(n_nodes)]
+    for road in roads:
+        entries.append((len(lanes), 0))
+        upstream = None
+        for node in road:
+            inbound[node].append(len(lanes))
+            lanes.append(
+                LaneDescriptor(block_cells, upstream, node, ((len(lanes) + 1, 1.0),))
+            )
+            upstream = node
+        lanes.append(LaneDescriptor(block_cells, upstream, None))
+    nodes = tuple(
+        IntersectionDescriptor(tuple(lns), tuple((li,) for li in lns)) for lns in inbound
+    )
+    topo = NetworkTopology(tuple(lanes), nodes, tuple(entries))
+    return derive_compatibility(topo, v_max)
+
+
 def build_grid(
     roads_per_direction: int = 4,
     block_cells: int = 40,
@@ -83,66 +119,17 @@ def build_grid(
 ) -> NetworkTopology:
     """Manhattan grid of one-way roads (eastbound rows, northbound columns).
 
-    Each intersection runs two phases: green for the eastbound approach
-    (traffic from the left), green for the northbound one (from the bottom).
-    ``v_max`` sets the derived neighbor travel times.
-    Entry points come in road order, eastbound rows first.
+    Node ``row * roads_per_direction + col`` runs two phases: green for the
+    eastbound approach, then green for the northbound one.  ``v_max`` sets
+    the derived neighbor travel times.  Entry points come in road order,
+    eastbound rows first.
     """
     if roads_per_direction < 1:
         raise ConfigError(f"roads_per_direction={roads_per_direction}: must be >= 1")
-    if block_cells < 2:
-        raise ConfigError(f"block_cells={block_cells}: must be >= 2")
     r = roads_per_direction
-    segs = r + 1
-
-    def h_lane(row: int, j: int) -> int:
-        return row * segs + j
-
-    def v_lane(col: int, j: int) -> int:
-        return r * segs + col * segs + j
-
-    def node_id(row: int, col: int) -> int:
-        return row * r + col
-
-    lanes: list[LaneDescriptor] = []
-    for row in range(r):
-        for j in range(segs):
-            lanes.append(
-                LaneDescriptor(
-                    length=block_cells,
-                    upstream=None if j == 0 else node_id(row, j - 1),
-                    downstream=None if j == r else node_id(row, j),
-                    exits=() if j == r else ((h_lane(row, j + 1), 1.0),),
-                )
-            )
-    for col in range(r):
-        for j in range(segs):
-            lanes.append(
-                LaneDescriptor(
-                    length=block_cells,
-                    upstream=None if j == 0 else node_id(j - 1, col),
-                    downstream=None if j == r else node_id(j, col),
-                    exits=() if j == r else ((v_lane(col, j + 1), 1.0),),
-                )
-            )
-
-    nodes = []
-    for row in range(r):
-        for col in range(r):
-            east = h_lane(row, col)
-            north = v_lane(col, row)
-            nodes.append(
-                IntersectionDescriptor(
-                    inbound_lanes=(east, north),
-                    phases=((east,), (north,)),
-                )
-            )
-
-    entries = tuple((h_lane(row, 0), 0) for row in range(r)) + tuple(
-        (v_lane(col, 0), 0) for col in range(r)
-    )
-    topo = NetworkTopology(tuple(lanes), tuple(nodes), entries)
-    return derive_compatibility(topo, v_max)
+    rows = [[row * r + col for col in range(r)] for row in range(r)]
+    cols = [[row * r + col for row in range(r)] for col in range(r)]
+    return _lay_roads(rows + cols, r * r, block_cells, v_max)
 
 
 def build_arterial(
@@ -159,57 +146,11 @@ def build_arterial(
     """
     if intersections < 1:
         raise ConfigError(f"intersections={intersections}: must be >= 1")
-    if block_cells < 2:
-        raise ConfigError(f"block_cells={block_cells}: must be >= 2")
     if not 0.0 <= side_q <= 1.0:
         raise ConfigError(f"side_q={side_q}: probability out of range [0, 1]")
     n = intersections
-
-    def a_lane(j: int) -> int:
-        return j
-
-    def side_in(i: int) -> int:
-        return n + 1 + 2 * i
-
-    def side_out(i: int) -> int:
-        return n + 2 + 2 * i
-
-    lanes: list[LaneDescriptor] = []
-    for j in range(n + 1):
-        lanes.append(
-            LaneDescriptor(
-                length=block_cells,
-                upstream=None if j == 0 else j - 1,
-                downstream=None if j == n else j,
-                exits=() if j == n else ((a_lane(j + 1), 1.0),),
-            )
-        )
-    for i in range(n):
-        lanes.append(
-            LaneDescriptor(
-                length=block_cells,
-                upstream=None,
-                downstream=i,
-                exits=((side_out(i), 1.0),),
-            )
-        )
-        lanes.append(
-            LaneDescriptor(length=block_cells, upstream=i, downstream=None)
-        )
-
-    nodes = tuple(
-        IntersectionDescriptor(
-            inbound_lanes=(a_lane(i), side_in(i)),
-            phases=((a_lane(i),), (side_in(i),)),
-        )
-        for i in range(n)
-    )
-    entries = ((a_lane(0), 0),) + tuple((side_in(i), 0) for i in range(n))
-    topo = derive_compatibility(
-        NetworkTopology(tuple(lanes), nodes, entries), v_max
-    )
-    intensities = (None,) + (side_q,) * n
-    return topo, intensities
+    roads = [list(range(n))] + [[i] for i in range(n)]
+    return _lay_roads(roads, n, block_cells, v_max), (None,) + (side_q,) * n
 
 
 def grid_config(

@@ -87,8 +87,8 @@ def advance_all(
     v_max: int,
     p: float,
     rng: RngStream,
-) -> list[Vehicle]:
-    """Advance every vehicle one step; returns the vehicles that left.
+) -> int:
+    """Advance every vehicle one step; returns how many left the network.
 
     Mutates ``state`` in place.  A vehicle that commits to crossing draws its
     exit before braking (the successor determines the gap); if dawdling then
@@ -109,7 +109,7 @@ def advance_all(
     new_lists: list[list[Vehicle]] = [[] for _ in lanes]
     entrants: dict[int, list[Vehicle]] = {}
     claimed: dict[int, set[int]] = {}
-    removed: list[Vehicle] = []
+    removed = 0
 
     for li, lst in enumerate(old_lists):
         if not lst:
@@ -155,9 +155,7 @@ def advance_all(
                 veh.speed = v
                 stayers.append(veh)
             elif off_network:
-                veh.cell = nk
-                veh.speed = v
-                removed.append(veh)
+                removed += 1
             else:
                 if target < 0:
                     raise SimulationError(
@@ -174,7 +172,6 @@ def advance_all(
                     stayers.append(veh)
                 else:
                     taken.add(c)
-                    veh.lane = target
                     veh.cell = c
                     veh.speed = length - k + c
                     entrants.setdefault(target, []).append(veh)
@@ -221,10 +218,9 @@ class InjectionProcess:
         """Arrivals drawn but still waiting for a free entry cell."""
         return sum(self.pending)
 
-    def inject(self, state: Level1State, rng: RngStream) -> list[int]:
-        """Draw this step's arrivals and place what fits; returns placed ids."""
+    def inject(self, state: Level1State, rng: RngStream) -> None:
+        """Draw this step's arrivals and place what fits."""
         draws = rng.injection.random(len(self.entries)).tolist()
-        placed: list[int] = []
         for ei, (lane_id, cell) in enumerate(self.entries):
             if draws[ei] < self.intensities[ei]:
                 self.pending[ei] += 1
@@ -234,9 +230,6 @@ class InjectionProcess:
             pos = bisect_left(lst, cell, key=_cell_of)
             if pos < len(lst) and lst[pos].cell == cell:
                 continue  # entry cell occupied: the arrival keeps waiting
-            veh = Vehicle(self.next_id, lane_id, cell, 0)
+            lst.insert(pos, Vehicle(self.next_id, cell, 0))
             self.next_id += 1
             self.pending[ei] -= 1
-            lst.insert(pos, veh)
-            placed.append(veh.id)
-        return placed

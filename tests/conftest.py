@@ -101,7 +101,7 @@ def state_with(topology: NetworkTopology, *vehicles) -> Level1State:
     """Level-1 state holding the given (lane, cell, speed) vehicles."""
     state = Level1State.empty(topology)
     for vid, (lane, cell, speed) in enumerate(vehicles):
-        state.lane_vehicles[lane].append(Vehicle(vid, lane, cell, speed))
+        state.lane_vehicles[lane].append(Vehicle(vid, cell, speed))
     for lst in state.lane_vehicles:
         lst.sort(key=lambda v: v.cell)
     return state

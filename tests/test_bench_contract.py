@@ -3,8 +3,8 @@
 The span tracer wraps hcasim functions by name, reads ``alpha`` off the
 adaptive selector and counts phase switches by zipping ``select``'s
 ``states`` argument against its result after the call; the compare
-workload rebinds ``run_many`` with a wrapper of a fixed signature.  A
-rename, a signature change or a selector that rewrote its input would
+workload rebinds ``run_many`` with a wrapper of a fixed signature; the
+benchmark's modules import a few package names directly.  A rename, a signature change or a selector that rewrote its input would
 break ``perfbench/run.py --trace 1`` without any test of the package
 noticing.  The tracer module is only loaded here,
 never instrumented, because instrumenting rebinds hcasim globally.
@@ -19,6 +19,9 @@ from pathlib import Path
 
 import pytest
 
+import hcasim
+import hcasim.cli
+import hcasim.engine
 import hcasim.experiments
 import hcasim.signals
 from hcasim import (
@@ -51,6 +54,43 @@ def test_traced_names_resolve():
     # counted by the tracer outside its spans
     assert callable(hcasim.signals.coordination_priority)
     assert callable(hcasim.experiments.ProcessPoolExecutor)
+
+
+# Names the benchmark imports or calls: test_checks.py and workloads.py
+# import from the package and from experiments, child.py calls through the
+# package and the CLI.
+IMPORTED = {
+    hcasim: ("aggregate", "arterial_config", "grid_config", "run", "Simulation"),
+    hcasim.experiments: (
+        "SweepResult", "run_many", "summarize_comparison", "write_compare_csv"
+    ),
+    hcasim.cli: ("main",),
+}
+
+
+@pytest.mark.parametrize("module", list(IMPORTED), ids=lambda m: m.__name__)
+def test_imported_names_resolve(module):
+    for name in IMPORTED[module]:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name} is gone"
+
+
+def test_advance_all_gets_the_state_first(monkeypatch):
+    # the tracer counts vehicle updates as advance_all's args[0].vehicle_count
+    seen = []
+    advance_all = hcasim.engine.advance_all
+
+    def recording(*args, **kwargs):
+        seen.append(args[0].vehicle_count)
+        return advance_all(*args, **kwargs)
+
+    monkeypatch.setattr(hcasim.engine, "advance_all", recording)
+    sim = Simulation(grid_config(q=0.5, horizon=5, seed=1))
+    for _ in range(5):
+        on_road, injected = sim.state.vehicle_count, sim.injector.total_injected
+        sim.step()
+        # everything on the road after this step's arrivals moves once
+        assert seen[-1] == on_road + sim.injector.total_injected - injected
+    assert len(seen) == 5 and seen[-1] > 0
 
 
 def test_run_many_positional_signature():

@@ -50,11 +50,12 @@ def test_fixed_time_without_split_is_config_error(capsys):
     assert "fixed_time_split" in capsys.readouterr().err
 
 
-def test_unwritable_output_is_runtime_error(capsys):
+def test_unwritable_output_is_runtime_error(tmp_path, capsys):
+    # the directory exists, but the output path names a directory
     code = main(
         ["sweep", "--alpha-from", "0", "--alpha-to", "0", "--alpha-step", "1",
          "--runs", "1", "--steps", "5", "--jobs", "1",
-         "--out", "/no/such/dir/out.csv"]
+         "--out", str(tmp_path)]
     )
     assert code == 3
     assert "error" in capsys.readouterr().err
@@ -161,6 +162,31 @@ def test_zero_v_max_in_config_file_is_config_error(tmp_path, capsys, no_runs):
     assert main(["run", "--scenario", f"file:{cfg}", "--steps", "5"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "v_max=0: must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--steps", "5", "--out", "no/such/dir/m.csv"],
+        ["run", "--steps", "5", "--trace", "no/such/dir/t.csv"],
+        ["sweep", "--runs", "2", "--jobs", "1", "--out", "no/such/dir/x.csv"],
+        ["compare", "--q-list", "0.1", "--runs", "2", "--jobs", "1",
+         "--out", "no/such/dir/x.csv"],
+    ],
+    ids=["run-out", "run-trace", "sweep", "compare"],
+)
+def test_output_in_missing_directory_is_config_error(argv, capsys, no_runs):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "no/such/dir" in err and "does not exist" in err
+
+
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys, no_runs):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_bytes(b"# caf\xe9\nq = 0.1\n[scenario]\nkind = grid\n")
+    assert main(["run", "--scenario", f"file:{cfg}", "--steps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {cfg}" in err and "utf-8" in err
 
 
 def test_repeated_demand_level_is_config_error(capsys, no_runs):

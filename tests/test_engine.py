@@ -45,10 +45,12 @@ def test_count_stopped_window_restricts_to_lane_tail(cross):
     assert count_stopped(state, window=3) == 2
 
 
-def test_count_stopped_excludes_listed_ids(cross):
-    state = state_with(cross, (0, 2, 0), (0, 5, 0))
-    ids = [v.id for v in state.vehicles()]
-    assert count_stopped(state, exclude_ids=frozenset(ids[:1])) == 1
+def test_count_stopped_skips_ids_placed_this_step(cross):
+    # state_with numbers vehicles 0, 1, 2 in argument order
+    state = state_with(cross, (0, 2, 0), (0, 5, 0), (1, 4, 0))
+    assert count_stopped(state, first_new_id=1) == 1
+    assert count_stopped(state, first_new_id=3) == 3
+    assert count_stopped(state, first_new_id=0) == 0
 
 
 # --- construction-time validation -------------------------------------------
@@ -76,7 +78,7 @@ def test_backlog_reflects_post_move_positions(cross):
     # and the signal decision sees the fresh backlog
     cfg = SimConfig(cross, q=0.0, p=0.0, strategy="backpressure")
     sim = Simulation(cfg)
-    sim.state.lane_vehicles[1].append(Vehicle(0, 1, 0, 0))
+    sim.state.lane_vehicles[1].append(Vehicle(0, 0, 0))
     sim.step()
     assert sim.occupancy == [0, 1, 0, 0]
     # lane 1 pressure 1 beats lane 0 pressure 0: phase 1 activates this step
@@ -90,7 +92,7 @@ def test_signals_apply_one_step_later(cross):
     cfg = SimConfig(cross, q=0.0, p=0.0, strategy="backpressure")
     sim = Simulation(cfg)
     assert sim.gamma == [1, 0, 1, 1]  # phase 0 active at t=0
-    sim.state.lane_vehicles[1].append(Vehicle(0, 1, 8, 0))
+    sim.state.lane_vehicles[1].append(Vehicle(0, 8, 0))
     sim.step()
     # moved under red: 8 -> 9 is allowed (distance to line lets it advance)
     assert [v.cell for v in sim.state.lane_vehicles[1]] == [9]
@@ -98,7 +100,7 @@ def test_signals_apply_one_step_later(cross):
     sim.step()
     # now green: crosses onto exit lane 3
     assert sim.state.lane_vehicles[1] == []
-    assert [v.lane for v in sim.state.vehicles()] == [3]
+    assert [len(lst) for lst in sim.state.lane_vehicles] == [0, 0, 0, 1]
 
 
 def test_fresh_injections_do_not_count_as_stopped(cross):
@@ -113,8 +115,10 @@ def test_fresh_injections_do_not_count_as_stopped(cross):
 def test_stop_delay_accumulates_standing_vehicles(cross):
     cfg = SimConfig(cross, q=0.0, p=0.0, strategy="backpressure")
     sim = Simulation(cfg)
-    # parked at the stop line of the red lane 1 (phase 0 is active)
-    sim.state.lane_vehicles[1].append(Vehicle(0, 1, 9, 0))
+    # parked at the stop line of the red lane 1 (phase 0 is active); it
+    # entered before this step, so the injector has already issued its id
+    sim.state.lane_vehicles[1].append(Vehicle(0, 9, 0))
+    sim.injector.next_id = 1
     sim.step()
     # the controller flips to phase 1 at the end of the step, but the vehicle
     # spent this step standing under red

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 
+import hcasim
 from hcasim import (
     ComparisonRow,
     SimConfig,
@@ -81,6 +85,24 @@ def test_welch_matches_scipy():
     ref = scipy.stats.ttest_ind(a, b, equal_var=False, alternative="greater")
     assert t == pytest.approx(ref.statistic, rel=1e-12)
     assert p == pytest.approx(ref.pvalue, rel=1e-12)
+
+
+def test_import_and_run_leave_scipy_unloaded():
+    # scipy.stats is slow to import and only welch_one_sided's p-value needs it
+    src = os.path.dirname(os.path.dirname(hcasim.__file__))
+    code = (
+        "import sys, hcasim\n"
+        "hcasim.run(hcasim.grid_config(roads_per_direction=2, horizon=5))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.filterwarnings("ignore:Precision loss occurred")

@@ -205,9 +205,10 @@ def test_validator_accepts_generated_networks(seed):
 def test_state_cell_view_matches_records(cross):
     state = state_with(cross, (0, 2, 1), (0, 5, 2), (1, 0, 0))
     assert state.vehicle_count == 3
-    assert [(v.lane, v.cell, v.speed) for v in state.vehicles()] == [
-        (0, 2, 1), (0, 5, 2), (1, 0, 0)
+    assert [(v.id, v.cell, v.speed) for v in state.vehicles()] == [
+        (0, 2, 1), (1, 5, 2), (2, 0, 0)
     ]
+    assert [len(lst) for lst in state.lane_vehicles] == [2, 1, 0, 0]
 
 
 def test_check_level1_clean(cross):
@@ -223,12 +224,9 @@ def test_check_level1_detects_collision_and_order(cross):
     assert any("collision or unsorted" in v for v in check_level1(state, cross, 2))
 
 
-def test_check_level1_detects_bounds_and_tags(cross):
+def test_check_level1_detects_bounds(cross):
     state = state_with(cross, (0, 12, 1))
     assert any("off-lane" in v for v in check_level1(state, cross, 2))
     state = state_with(cross, (0, 3, 5))
     assert any("speed" in v for v in check_level1(state, cross, 2))
-    state = state_with(cross, (0, 3, 1))
-    state.lane_vehicles[0][0].lane = 2
-    assert any("tagged" in v for v in check_level1(state, cross, 2))
 

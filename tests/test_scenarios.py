@@ -16,6 +16,7 @@ from hcasim import (
     derive_compatibility,
     grid_config,
     load_config,
+    topology_digest,
     validate_topology,
 )
 from conftest import fork_topology
@@ -198,6 +199,86 @@ def test_arterial_side_roads_cross_and_leave():
 def test_arterial_rejects_bad_inputs(kwargs, match):
     with pytest.raises(ConfigError, match=match):
         build_arterial(**{"intersections": 4, "block_cells": 40, **kwargs})
+
+
+# --- pinned layouts -------------------------------------------------------------
+
+# topology_digest of every built-in layout over sizes, block lengths and
+# speeds; lanes, phases, neighbor links, compatibility and entry order all
+# enter the digest.  Keyed (roads_per_direction, block_cells, v_max).
+GRID_DIGESTS = {
+    (1, 2, 1): "6c238a222434790b",
+    (1, 2, 2): "6c238a222434790b",
+    (1, 2, 5): "6c238a222434790b",
+    (1, 40, 1): "333b86e2d6ac16d5",
+    (1, 40, 2): "333b86e2d6ac16d5",
+    (1, 40, 5): "333b86e2d6ac16d5",
+    (2, 2, 1): "e76b70a0a2f2245d",
+    (2, 2, 2): "40d20d164b781b8d",
+    (2, 2, 5): "40d20d164b781b8d",
+    (2, 40, 1): "630b58fff4dad38a",
+    (2, 40, 2): "c1818703016d6a8f",
+    (2, 40, 5): "59c3faef887ab915",
+    (3, 2, 1): "7a9eb307be5db09a",
+    (3, 2, 2): "d8f66fbba552eb4e",
+    (3, 2, 5): "d8f66fbba552eb4e",
+    (3, 40, 1): "b71f52b9df6f7cc1",
+    (3, 40, 2): "bf8f6932c611dae7",
+    (3, 40, 5): "e44118f35027bcb0",
+    (6, 2, 1): "9f0a284a30f6bcf2",
+    (6, 2, 2): "b48c6184abcf5fbd",
+    (6, 2, 5): "b48c6184abcf5fbd",
+    (6, 40, 1): "6a049ba2cc7dd9de",
+    (6, 40, 2): "2f7e441104f4d79e",
+    (6, 40, 5): "e701573b1b2b7ffb",
+    (16, 2, 1): "988c40adc27bcf37",
+    (16, 2, 2): "007e910f0554f973",
+    (16, 2, 5): "007e910f0554f973",
+    (16, 40, 1): "998d1e7150fe2e99",
+    (16, 40, 2): "b8132c0547409c1c",
+    (16, 40, 5): "f895e604e764fff4",
+}
+
+# Keyed (intersections, block_cells, v_max).
+ARTERIAL_DIGESTS = {
+    (1, 2, 1): "6c238a222434790b",
+    (1, 2, 2): "6c238a222434790b",
+    (1, 2, 3): "6c238a222434790b",
+    (1, 40, 1): "333b86e2d6ac16d5",
+    (1, 40, 2): "333b86e2d6ac16d5",
+    (1, 40, 3): "333b86e2d6ac16d5",
+    (2, 2, 1): "4ebb7f18faa53f9c",
+    (2, 2, 2): "3d946aba170bc507",
+    (2, 2, 3): "3d946aba170bc507",
+    (2, 40, 1): "b9ada489d82ec1de",
+    (2, 40, 2): "cfddf11859aa6c70",
+    (2, 40, 3): "b959c08770d8e3f1",
+    (4, 2, 1): "39b09fe3d889c10c",
+    (4, 2, 2): "61689453cb8fd720",
+    (4, 2, 3): "61689453cb8fd720",
+    (4, 40, 1): "44101db69fb25b04",
+    (4, 40, 2): "5749e35b5324d7c4",
+    (4, 40, 3): "36114068879abe67",
+    (32, 2, 1): "379bd49f350cb604",
+    (32, 2, 2): "4ba8cd2564e81791",
+    (32, 2, 3): "4ba8cd2564e81791",
+    (32, 40, 1): "aa0f7e0d7f63c44e",
+    (32, 40, 2): "aceede0c16f001d9",
+    (32, 40, 3): "f1f52edab3cbb8e6",
+}
+
+
+@pytest.mark.parametrize("size,block,v_max", sorted(GRID_DIGESTS))
+def test_grid_layout_digest_is_pinned(size, block, v_max):
+    topo = build_grid(size, block, v_max)
+    assert topology_digest(topo) == GRID_DIGESTS[size, block, v_max]
+
+
+@pytest.mark.parametrize("size,block,v_max", sorted(ARTERIAL_DIGESTS))
+def test_arterial_layout_digest_is_pinned(size, block, v_max):
+    topo, intensities = build_arterial(size, block, side_q=0.03, v_max=v_max)
+    assert topology_digest(topo) == ARTERIAL_DIGESTS[size, block, v_max]
+    assert intensities == (None,) + (0.03,) * size
 
 
 # --- compatibility derivation on hand-built networks ---------------------------

@@ -72,8 +72,8 @@ _OVERRIDES = {
 def _base_config(args: argparse.Namespace) -> SimConfig:
     """The --scenario configuration with every flag that was given applied.
 
-    Run and job counts and the directories of output files are checked here
-    too, so every bad flag is reported (exit 2) before a simulation starts.
+    Run and job counts and output paths are checked here too, so every bad
+    flag is reported (exit 2) before a simulation starts.
     """
     for flag in ("runs", "jobs"):
         value = getattr(args, flag, None)
@@ -81,8 +81,12 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
             raise ConfigError(f"--{flag} {value}: must be >= 1")
     for flag in ("out", "trace"):
         path = getattr(args, flag, None)
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if path is None:
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"--{flag} {path}: directory does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"--{flag} {path}: is a directory")
     scenario = args.scenario
     if scenario in SCENARIOS:
         cfg = SCENARIOS[scenario]()
@@ -171,7 +175,7 @@ def _experiment(
         rows, failure = exc.partial, exc
     written = write(args.out, rows)
     write_meta(
-        f"{args.out}.meta.json", cfg, args.scenario, args.runs, cfg.seed, variants,
+        f"{args.out}.meta.json", cfg, args.scenario, args.runs, variants,
         partial=failure is not None,
     )
     if failure is not None:
@@ -199,9 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args,
         cfg,
         [f"alpha={a:.3f}" for a in alphas],
-        lambda: sweep_alpha(
-            cfg, alphas, args.runs, args.scenario, cfg.seed, args.jobs, _progress
-        ),
+        lambda: sweep_alpha(cfg, alphas, args.runs, args.scenario, args.jobs, _progress),
         _write_sweep,
     )
 
@@ -214,8 +216,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cfg,
         ["backpressure", f"hca(alpha={cfg.alpha:g})"],
         lambda: compare_strategies(
-            cfg, args.q_list, args.runs, cfg.alpha, args.scenario, cfg.seed, args.jobs,
-            _progress,
+            cfg, args.q_list, args.runs, args.scenario, args.jobs, _progress
         ),
         _write_compare,
     )
@@ -236,6 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="grid, arterial, or file:PATH (default: grid)",
         )
         p.add_argument("--seed", type=int, default=None, help="base random seed")
+        p.add_argument("--steps", type=int, default=None, help="simulation horizon")
+
+    def add_experiment(p: argparse.ArgumentParser, runs_noun: str, out: str) -> None:
+        p.add_argument("--runs", type=int, default=50, help=f"replications per {runs_noun}")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=_DEFAULT_JOBS,
+            help=f"parallel worker processes (default: {_DEFAULT_JOBS}, all cores)",
+        )
+        p.add_argument("--out", default=out, help="output CSV path")
 
     p_run = sub.add_parser("run", help="run one simulation")
     add_common(p_run)
@@ -247,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="signal control strategy (default: hca)",
     )
-    p_run.add_argument("--steps", type=int, default=None, help="simulation horizon")
     p_run.add_argument("--trace", default=None, help="write a per-step trace CSV here")
     p_run.add_argument("--out", default=None, help="write the metrics row as CSV here")
     p_run.set_defaults(func=cmd_run)
@@ -258,15 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--alpha-from", type=float, default=0.0)
     p_sweep.add_argument("--alpha-to", type=float, default=2.0)
     p_sweep.add_argument("--alpha-step", type=float, default=0.1)
-    p_sweep.add_argument("--runs", type=int, default=50, help="replications per point")
-    p_sweep.add_argument("--steps", type=int, default=None, help="simulation horizon")
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=_DEFAULT_JOBS,
-        help=f"parallel worker processes (default: {_DEFAULT_JOBS}, all cores)",
-    )
-    p_sweep.add_argument("--out", default="alpha_sweep.csv", help="output CSV path")
+    add_experiment(p_sweep, "point", "alpha_sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="compare control strategies")
@@ -283,15 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="coordination weight for the hca variant (default: scenario-tuned)",
     )
-    p_cmp.add_argument("--runs", type=int, default=50, help="replications per variant")
-    p_cmp.add_argument("--steps", type=int, default=None, help="simulation horizon")
-    p_cmp.add_argument(
-        "--jobs",
-        type=int,
-        default=_DEFAULT_JOBS,
-        help=f"parallel worker processes (default: {_DEFAULT_JOBS}, all cores)",
-    )
-    p_cmp.add_argument("--out", default="strategy_compare.csv", help="output CSV path")
+    add_experiment(p_cmp, "variant", "strategy_compare.csv")
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO
 
@@ -28,13 +29,13 @@ from .model import (
     ConfigError,
     Level1State,
     Level3State,
+    NetworkTopology,
     SimConfig,
     SimulationError,
     check_level1,
     config_digest,
     validate_topology,
 )
-from .model import NetworkTopology
 from .signals import controller_strategy
 from .vehicles import InjectionProcess, RngStream, advance_all
 
@@ -195,20 +196,13 @@ def run(
 ) -> MetricsRecord:
     """Run a configuration to its horizon; optionally write a per-step trace CSV."""
     sim = Simulation(config, check_invariants=check_invariants)
-    if trace is None:
+    # a path is opened and closed here; a caller's stream is left open
+    with open(trace, "w", newline="") if isinstance(trace, str) else nullcontext(trace) as fh:
+        writer = None if fh is None else csv.writer(fh, lineterminator="\n")
+        if writer is not None:
+            writer.writerow(trace_columns(sim.topology))
         for _ in range(config.horizon):
             sim.step()
-        return sim.metrics()
-
-    own = isinstance(trace, str)
-    fh: IO[str] = open(trace, "w", newline="") if own else trace  # type: ignore[assignment]
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(trace_columns(sim.topology))
-        for _ in range(config.horizon):
-            sim.step()
-            _write_trace_row(writer, sim)
-    finally:
-        if own:
-            fh.close()
+            if writer is not None:
+                _write_trace_row(writer, sim)
     return sim.metrics()

@@ -1,8 +1,9 @@
 """Multi-run experiments: coordination-weight sweeps and strategy comparisons.
 
 Runs are paired across variants by seeding: run ``i`` of every variant uses
-``base_seed + i``, and arrival draws live on their own substream, so two
-controllers compared on the same run index face the same offered demand.
+the config's ``seed + i``, and arrival draws live on their own substream,
+so two controllers compared on the same run index face the same offered
+demand.
 Aggregates use exact summation and the sample standard deviation; the
 one-sided Welch test decides whether one variant's mean stop delay really
 sits below another's.
@@ -110,13 +111,16 @@ def run_many(
     jobs: int = 1,
     on_result: Callable[[MetricsRecord], None] | None = None,
 ) -> list[MetricsRecord]:
-    """Run ``runs`` replications seeded ``base_seed + i`` for i in 0..runs-1."""
+    """Run ``runs`` replications seeded ``base_seed + i`` for i in 0..runs-1,
+    on at most ``min(jobs, runs)`` worker processes."""
     if runs < 1:
         raise ValueError(f"runs={runs}: must be >= 1")
     seed0 = config.seed if base_seed is None else base_seed
     configs = [replace(config, seed=seed0 + i) for i in range(runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, runs)
+    if workers > 1:
+        # the pool forks all of its workers at the first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run, configs, chunksize=1))
         if on_result is not None:
             for rec in records:
@@ -144,25 +148,23 @@ def _run_cells(
     cells: Sequence[tuple[str, SimConfig]],
     runs: int,
     scenario: str,
-    base_seed: int | None,
     jobs: int,
     progress: Callable[[SweepResult], None] | None,
 ) -> list[SweepResult]:
     """One stop-delay row per ``(variant, config)`` cell, in order.
 
-    Every cell runs the same ``runs`` seeds, so rows are paired across
-    variants.  A failed cell raises :class:`SweepError` carrying the rows
-    finished before it.
+    Each cell runs ``runs`` seeds from its config's ``seed``, which all
+    cells share, so rows are paired across variants.  A failed cell raises
+    :class:`SweepError` carrying the rows finished before it.
     """
     rows: list[SweepResult] = []
     for variant, cfg in cells:
-        seed0 = cfg.seed if base_seed is None else base_seed
         try:
-            records = run_many(cfg, runs, seed0, jobs)
+            records = run_many(cfg, runs, jobs=jobs)
         except Exception as exc:
             raise SweepError(f"q={cfg.q:g} {variant}: {exc}", rows) from exc
         mean, std, lo, hi = aggregate([float(r.total_stop_delay) for r in records])
-        row = SweepResult(scenario, cfg.q, variant, len(records), mean, std, lo, hi, seed0)
+        row = SweepResult(scenario, cfg.q, variant, len(records), mean, std, lo, hi, cfg.seed)
         rows.append(row)
         if progress is not None:
             progress(row)
@@ -174,37 +176,35 @@ def sweep_alpha(
     alphas: Sequence[float],
     runs: int,
     scenario: str,
-    base_seed: int | None = None,
     jobs: int = 1,
     progress: Callable[[SweepResult], None] | None = None,
 ) -> list[SweepResult]:
-    """Mean stop delay of the adaptive controller at each coordination weight."""
+    """Mean stop delay of the adaptive controller at each coordination weight,
+    each over ``runs`` seeds from ``config.seed``."""
     cells = [(f"alpha={a:.3f}", replace(config, alpha=a, strategy="hca")) for a in alphas]
     _check_distinct([variant for variant, _ in cells], "variant")
-    return _run_cells(cells, runs, scenario, base_seed, jobs, progress)
+    return _run_cells(cells, runs, scenario, jobs, progress)
 
 
 def compare_strategies(
     config: SimConfig,
     q_list: Sequence[float],
     runs: int,
-    alpha: float,
     scenario: str,
-    base_seed: int | None = None,
     jobs: int = 1,
     progress: Callable[[SweepResult], None] | None = None,
 ) -> list[SweepResult]:
     """Paired comparison of pure pressure control against the coordinated one.
 
     For every demand level the ``backpressure`` variant and the ``hca``
-    variant (at the given weight) run on identical seed sequences.
+    variant (at ``config.alpha``) run ``runs`` seeds from ``config.seed``.
     """
     _check_distinct([f"q={q:.6f}" for q in q_list], "demand level")
     cells: list[tuple[str, SimConfig]] = []
     for q in q_list:
         cells.append(("backpressure", replace(config, q=q, strategy="backpressure")))
-        cells.append(("hca", replace(config, q=q, strategy="hca", alpha=alpha)))
-    return _run_cells(cells, runs, scenario, base_seed, jobs, progress)
+        cells.append(("hca", replace(config, q=q, strategy="hca")))
+    return _run_cells(cells, runs, scenario, jobs, progress)
 
 
 def summarize_comparison(rows: Sequence[SweepResult]) -> list[ComparisonRow]:
@@ -307,7 +307,6 @@ def write_meta(
     config: SimConfig,
     scenario: str,
     runs: int,
-    base_seed: int,
     variants: Sequence[str],
     partial: bool = False,
 ) -> None:
@@ -318,8 +317,8 @@ def write_meta(
         "config_digest": config_digest(config),
         "horizon": config.horizon,
         "runs": runs,
-        "base_seed": base_seed,
-        "seeds": [base_seed, base_seed + runs - 1],
+        "base_seed": config.seed,
+        "seeds": [config.seed, config.seed + runs - 1],
         "variants": list(variants),
         "partial": partial,
     }

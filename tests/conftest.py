@@ -8,11 +8,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from hcasim import (
     IntersectionDescriptor,
     LaneDescriptor,
-    Level1State,
     NetworkTopology,
-    Vehicle,
     derive_compatibility,
 )
+from hcasim.model import Level1State, Vehicle
 
 
 def cross_topology(length: int = 10, v_max: int = 2) -> NetworkTopology:

@@ -13,25 +13,26 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from hcasim import (
     IntersectionDescriptor,
-    IntersectionState,
     MetricsRecord,
     SimConfig,
     Simulation,
     arterial_config,
+    compare_strategies,
     grid_config,
     run,
-    select_phase,
     summarize_comparison,
     sweep_alpha,
     welch_one_sided,
 )
 from hcasim.cli import main as cli_main
-from hcasim.experiments import compare_strategies
+from hcasim.model import IntersectionState
+from hcasim.signals import select_phase
 from hcasim.vehicles import accelerate, brake, randomize
 from netgen import random_config
 
@@ -108,7 +109,7 @@ def test_acceptance_2_zero_weight_equals_pressure_control(tmp_path):
             if a != b:
                 diffs.append((scenario, seed))
     # byte-level check on the serialized records of the last pair
-    from hcasim import write_metrics_csv
+    from hcasim.experiments import write_metrics_csv
 
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     write_metrics_csv(str(pa), [a])
@@ -195,7 +196,7 @@ def test_acceptance_4_free_flow_zero_delay():
 
 def _paired_protocol(cfg: SimConfig, alpha: float, scenario: str, runs: int = 50):
     rows = compare_strategies(
-        cfg, (0.05, 0.10, 0.15), runs, alpha, scenario=scenario, base_seed=0
+        replace(cfg, alpha=alpha, seed=0), (0.05, 0.10, 0.15), runs, scenario=scenario
     )
     pairs = summarize_comparison(rows)
     stats = []
@@ -257,9 +258,7 @@ def test_acceptance_7_weight_curve_has_interior_minimum():
     else:
         alphas = [0.0, 0.5, 1.0, 1.5, 2.0]
         runs = 20
-    rows = sweep_alpha(
-        grid_config(q=0.10), alphas, runs, scenario="grid", base_seed=0
-    )
+    rows = sweep_alpha(grid_config(q=0.10, seed=0), alphas, runs, scenario="grid")
     means = {a: r.mean for a, r in zip(alphas, rows)}
     best_alpha = min(means, key=means.get)
     interior = means[best_alpha] < means[0.0] and means[best_alpha] < means[2.0]

@@ -8,6 +8,8 @@ benchmark's modules import a few package names directly.  A rename, a signature 
 break ``perfbench/run.py --trace 1`` without any test of the package
 noticing.  The tracer module is only loaded here,
 never instrumented, because instrumenting rebinds hcasim globally.
+
+The package's exports are checked here too, against the README's list.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -24,17 +27,12 @@ import hcasim.cli
 import hcasim.engine
 import hcasim.experiments
 import hcasim.signals
-from hcasim import (
-    AdaptiveSelector,
-    FixedTimeSelector,
-    IntersectionState,
-    Simulation,
-    controller_strategy,
-    grid_config,
-)
-from hcasim.experiments import run_many
+from hcasim import Simulation, grid_config, run_many
+from hcasim.model import IntersectionState
+from hcasim.signals import AdaptiveSelector, FixedTimeSelector, controller_strategy
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -128,3 +126,12 @@ def test_node_states_iterate_to_intersection_states():
     states = list(_stepped_grid().node_states)
     assert len(states) == 16
     assert all(type(s) is IntersectionState for s in states)
+
+
+def test_package_exports_exactly_the_documented_library():
+    # the bulleted name list under the README's "Library use" heading
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library use\n")[1]
+    names_list = re.search(r"^- .*?(?=\n\n)", section, re.S | re.M).group(0)
+    documented = set(re.findall(r"`(\w+)`", names_list))
+    assert sorted(hcasim.__all__) == sorted(documented)
+    assert all(hasattr(hcasim, name) for name in documented)

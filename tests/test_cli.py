@@ -50,15 +50,21 @@ def test_fixed_time_without_split_is_config_error(capsys):
     assert "fixed_time_split" in capsys.readouterr().err
 
 
-def test_unwritable_output_is_runtime_error(tmp_path, capsys):
-    # the directory exists, but the output path names a directory
+def test_unwritable_output_is_runtime_error(tmp_path, monkeypatch, capsys):
+    # the path passes every check, but writing it fails after the runs
+    import hcasim.cli
+
+    def disk_full(path, rows):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(hcasim.cli, "write_sweep_csv", disk_full)
     code = main(
         ["sweep", "--alpha-from", "0", "--alpha-to", "0", "--alpha-step", "1",
          "--runs", "1", "--steps", "5", "--jobs", "1",
-         "--out", str(tmp_path)]
+         "--out", str(tmp_path / "x.csv")]
     )
     assert code == 3
-    assert "error" in capsys.readouterr().err
+    assert "error: disk full" in capsys.readouterr().err
 
 
 def test_empty_alpha_range_is_config_error(capsys):
@@ -179,6 +185,22 @@ def test_output_in_missing_directory_is_config_error(argv, capsys, no_runs):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "no/such/dir" in err and "does not exist" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--steps", "5", "--out", "."],
+        ["run", "--steps", "5", "--trace", "."],
+        ["sweep", "--runs", "2", "--jobs", "1", "--out", "."],
+        ["compare", "--q-list", "0.1", "--runs", "2", "--jobs", "1", "--out", "."],
+    ],
+    ids=["run-out", "run-trace", "sweep", "compare"],
+)
+def test_output_naming_a_directory_is_config_error(argv, capsys, no_runs):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and ": is a directory" in err
 
 
 def test_non_utf8_config_file_is_config_error(tmp_path, capsys, no_runs):

@@ -12,19 +12,17 @@ import pytest
 
 from hcasim import (
     ConfigError,
-    IntersectionState,
     LaneDescriptor,
     MetricsRecord,
     NetworkTopology,
     SimConfig,
     Simulation,
-    Vehicle,
     arterial_config,
-    count_stopped,
     grid_config,
     run,
-    trace_columns,
 )
+from hcasim.engine import count_stopped, trace_columns
+from hcasim.model import IntersectionState, Vehicle
 from netgen import random_config, random_topology
 from reference import RefSim
 

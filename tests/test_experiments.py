@@ -22,17 +22,19 @@ from hcasim import (
     aggregate,
     arterial_config,
     compare_strategies,
-    read_compare_csv,
-    read_sweep_csv,
     run_many,
     summarize_comparison,
     sweep_alpha,
     welch_one_sided,
+)
+from hcasim.experiments import (
+    read_compare_csv,
+    read_sweep_csv,
     write_compare_csv,
+    write_meta,
     write_metrics_csv,
     write_sweep_csv,
 )
-from hcasim.experiments import write_meta
 
 from conftest import cross_topology
 
@@ -174,6 +176,33 @@ def test_run_many_parallel_equals_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("runs, jobs, pools", [(2, 64, [2]), (3, 2, [2]), (1, 8, [])])
+def test_run_many_starts_no_more_workers_than_runs(monkeypatch, runs, jobs, pools):
+    # a stand-in pool that records its size and maps in this process, so no
+    # worker is ever forked however large ``jobs`` is
+    import hcasim.experiments as mod
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(mod, "ProcessPoolExecutor", InProcessPool)
+    records = run_many(_tiny(), runs, jobs=jobs)
+    assert sizes == pools
+    assert records == run_many(_tiny(), runs, jobs=1)
+
+
 def test_run_many_on_result_callback():
     seen = []
     records = run_many(_tiny(), 3, on_result=seen.append)
@@ -191,7 +220,7 @@ def test_paired_seeding_gives_identical_demand():
 
 
 def test_sweep_alpha_rows():
-    rows = sweep_alpha(_tiny(), [0.0, 1.0], runs=3, scenario="cross", base_seed=7)
+    rows = sweep_alpha(_tiny(seed=7), [0.0, 1.0], runs=3, scenario="cross")
     assert [r.variant for r in rows] == ["alpha=0.000", "alpha=1.000"]
     assert all(r.runs == 3 and r.base_seed == 7 and r.scenario == "cross" for r in rows)
     assert all(r.min <= r.mean <= r.max for r in rows)
@@ -230,9 +259,7 @@ def test_sweep_invalid_weight_is_a_config_error():
 
 
 def test_compare_strategies_row_layout():
-    rows = compare_strategies(
-        _tiny(), [0.1, 0.3], runs=2, alpha=1.0, scenario="cross", base_seed=9
-    )
+    rows = compare_strategies(_tiny(alpha=1.0, seed=9), [0.1, 0.3], runs=2, scenario="cross")
     assert [(r.q, r.variant) for r in rows] == [
         (0.1, "backpressure"),
         (0.1, "hca"),
@@ -242,14 +269,14 @@ def test_compare_strategies_row_layout():
 
 
 def test_zero_weight_equals_backpressure_means():
-    rows = compare_strategies(_tiny(), [0.3], runs=3, alpha=0.0, scenario="cross")
+    rows = compare_strategies(_tiny(alpha=0.0), [0.3], runs=3, scenario="cross")
     bp, hca = rows
     assert (bp.mean, bp.std, bp.min, bp.max) == (hca.mean, hca.std, hca.min, hca.max)
 
 
 def test_monotone_load_increases_delay():
     rows = compare_strategies(
-        _tiny(horizon=300), [0.05, 0.5], runs=3, alpha=1.0, scenario="cross"
+        _tiny(horizon=300, alpha=1.0), [0.05, 0.5], runs=3, scenario="cross"
     )
     light = [r for r in rows if r.q == 0.05 and r.variant == "backpressure"][0]
     heavy = [r for r in rows if r.q == 0.5 and r.variant == "backpressure"][0]
@@ -350,21 +377,21 @@ def test_metrics_csv_lists_each_run(tmp_path):
 
 
 def test_meta_file_contents(tmp_path):
-    cfg = _tiny()
+    cfg = _tiny(seed=40)
     path = tmp_path / "meta.json"
-    write_meta(str(path), cfg, "cross", runs=5, base_seed=40, variants=["a", "b"])
+    write_meta(str(path), cfg, "cross", runs=5, variants=["a", "b"])
     doc = json.loads(path.read_text())
     assert doc["scenario"] == "cross"
     assert doc["seeds"] == [40, 44]
     assert doc["variants"] == ["a", "b"]
     assert doc["partial"] is False
-    write_meta(str(path), cfg, "cross", runs=5, base_seed=40, variants=["a", "b"])
+    write_meta(str(path), cfg, "cross", runs=5, variants=["a", "b"])
     assert json.loads(path.read_text()) == doc
 
 
 def test_meta_partial_flag(tmp_path):
     path = tmp_path / "meta.json"
-    write_meta(str(path), _tiny(), "x", runs=1, base_seed=0, variants=[], partial=True)
+    write_meta(str(path), _tiny(), "x", runs=1, variants=[], partial=True)
     assert json.loads(path.read_text())["partial"] is True
 
 

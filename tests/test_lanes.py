@@ -5,14 +5,8 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from hcasim import (
-    IntersectionDescriptor,
-    LaneDescriptor,
-    NetworkTopology,
-    apply_signal_indications,
-    compute_backlog,
-    compute_occupancy,
-)
+from hcasim import IntersectionDescriptor, LaneDescriptor, NetworkTopology
+from hcasim.lanes import apply_signal_indications, compute_backlog, compute_occupancy
 from netgen import random_topology
 
 from conftest import state_with

@@ -10,14 +10,13 @@ from hcasim import (
     ConfigError,
     IntersectionDescriptor,
     LaneDescriptor,
-    Level1State,
     NetworkTopology,
     SimConfig,
-    check_level1,
     config_digest,
     topology_digest,
     validate_topology,
 )
+from hcasim.model import Level1State, check_level1
 from conftest import cross_topology, state_with
 from netgen import random_topology
 

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 
 from hcasim import (
-    AdaptiveSelector,
-    FixedTimeSelector,
     IntersectionDescriptor,
-    IntersectionState,
     LaneDescriptor,
     NetworkTopology,
     SimConfig,
     SimulationError,
+)
+from hcasim.model import IntersectionState
+from hcasim.signals import (
+    AdaptiveSelector,
+    FixedTimeSelector,
     controller_strategy,
     coordination_priority,
     select_phase,

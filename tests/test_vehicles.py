@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcasim import (
+from hcasim import LaneDescriptor, NetworkTopology, SimulationError
+from hcasim.model import Level1State, check_level1
+from hcasim.vehicles import (
     InjectionProcess,
-    LaneDescriptor,
-    Level1State,
-    NetworkTopology,
     RngStream,
-    SimulationError,
     accelerate,
     advance_all,
     brake,
-    check_level1,
     pick_exit,
     randomize,
 )

@@ -54,18 +54,26 @@ def _scenario_arg(value: str) -> str:
     )
 
 
-def _q_list_arg(value: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in value.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated demand levels, got {value!r}"
-        ) from None
+def _list_arg(kind: type, what: str) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list of ``kind`` values."""
 
+    def parse(value: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in value.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {value!r}"
+            ) from None
+
+    return parse
+
+
+_q_list_arg = _list_arg(float, "demand levels")
 
 # flag -> SimConfig field; a flag that was given replaces the scenario's value
 _OVERRIDES = {
-    "q": "q", "alpha": "alpha", "strategy": "strategy", "steps": "horizon", "seed": "seed"
+    "q": "q", "alpha": "alpha", "strategy": "strategy", "steps": "horizon", "seed": "seed",
+    "split": "fixed_time_split",
 }
 
 
@@ -79,14 +87,19 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ConfigError(f"--{flag} {value}: must be >= 1")
-    for flag in ("out", "trace"):
-        path = getattr(args, flag, None)
+    outputs = [(f"--{flag}", getattr(args, flag, None)) for flag in ("out", "trace")]
+    if getattr(args, "runs", None) is not None:  # sweep and compare write a meta file too
+        outputs.append((f"--out {args.out}: meta file", f"{args.out}.meta.json"))
+    for label, path in outputs:
         if path is None:
             continue
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"--{flag} {path}: directory does not exist")
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"{label} {path}: directory does not exist")
         if os.path.isdir(path):
-            raise ConfigError(f"--{flag} {path}: is a directory")
+            raise ConfigError(f"{label} {path}: is a directory")
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise ConfigError(f"{label} {path}: not writable")
     scenario = args.scenario
     if scenario in SCENARIOS:
         cfg = SCENARIOS[scenario]()
@@ -101,6 +114,14 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
         for flag, field in _OVERRIDES.items()
         if getattr(args, flag, None) is not None
     }
+    strategy = overrides.get("strategy", cfg.strategy)
+    if strategy == "fixed_time" and not overrides.get("fixed_time_split", cfg.fixed_time_split):
+        raise ConfigError(
+            "fixed_time strategy needs green times: --split G1,G2,... "
+            "or fixed_time_split in a config file"
+        )
+    if "fixed_time_split" in overrides and strategy != "fixed_time":
+        raise ConfigError(f"--split applies to the fixed_time strategy, not {strategy}")
     return replace(cfg, **overrides)
 
 
@@ -258,6 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("hca", "backpressure", "fixed_time"),
         default=None,
         help="signal control strategy (default: hca)",
+    )
+    p_run.add_argument(
+        "--split",
+        type=_list_arg(int, "green times"),
+        default=None,
+        help="fixed_time green steps per phase, G1,G2,... (config key fixed_time_split)",
     )
     p_run.add_argument("--trace", default=None, help="write a per-step trace CSV here")
     p_run.add_argument("--out", default=None, help="write the metrics row as CSV here")

@@ -6,11 +6,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Level1State, NetworkTopology
+from .model import Level1Arrays, Level1State, NetworkTopology
 
 
-def compute_occupancy(state: Level1State) -> list[int]:
-    """Vehicles currently on each lane."""
+def compute_occupancy(state: Level1State | Level1Arrays) -> list[int] | np.ndarray:
+    """Vehicles currently on each lane (an int array for :class:`Level1Arrays`)."""
+    if type(state) is Level1Arrays:
+        return np.bincount(state.data[0], minlength=state.lane_lengths.size)
     return list(map(len, state.lane_vehicles))
 
 

@@ -80,7 +80,7 @@ class IntersectionDescriptor:
 
 
 class TopologyTables(NamedTuple):
-    """Padded array form of a topology's level-2 and level-3 structure.
+    """Padded array form of a topology's level-1, level-2 and level-3 structure.
 
     Columns are stored first, so a kernel adds one column per pass and the
     sums keep the stored left-to-right order.
@@ -91,10 +91,17 @@ class TopologyTables(NamedTuple):
     phase_lanes: np.ndarray   # [max lanes per phase, nodes, max phases]; padding: -1
     phase_base: np.ndarray    # [nodes, max phases]: 0.0, or -inf for a phase the node lacks
     coordination: np.ndarray  # [4, entries]: own flat phase, neighbor, its phase, travel
+    lane_length: np.ndarray   # [lanes]
+    exit_cum: np.ndarray      # [max exits, lanes]: running weight sum in exit order; padding: inf
+    exit_last: np.ndarray     # [lanes]: index of the last exit, -1 on a network-exit lane
+    key_stride: int           # the longest lane: lane * key_stride + cell orders the arrays
+    entry_key: np.ndarray     # [entries]: that key of each entry cell
 
 
 def _compile_tables(
-    lanes: tuple[LaneDescriptor, ...], nodes: tuple[IntersectionDescriptor, ...]
+    lanes: tuple[LaneDescriptor, ...],
+    nodes: tuple[IntersectionDescriptor, ...],
+    entry_points: tuple[tuple[int, int], ...],
 ) -> TopologyTables:
     width = max((len(lane.exits) for lane in lanes), default=0)
     exit_targets = np.tile(np.arange(len(lanes), dtype=np.intp), (width, 1))
@@ -124,7 +131,18 @@ def _compile_tables(
         if linked == nbr and 0 <= own < len(node.phases)
     ]
     coordination = np.array(entries, dtype=np.intp).reshape(-1, 4).T
-    return TopologyTables(exit_targets, exit_weights, phase_lanes, phase_base, coordination)
+
+    lane_length = np.array([lane.length for lane in lanes], dtype=np.intp)
+    exit_last = np.array([len(lane.exits) - 1 for lane in lanes], dtype=np.intp)
+    # cumsum adds one exit at a time, as pick_exit does, so the sums agree bit for bit
+    real_exit = np.arange(width)[:, None] <= exit_last
+    exit_cum = np.where(real_exit, exit_weights.cumsum(axis=0), np.inf)
+    stride = int(lane_length.max(initial=1))
+    entry_key = np.array([li * stride + c for li, c in entry_points], dtype=np.intp)
+    return TopologyTables(
+        exit_targets, exit_weights, phase_lanes, phase_base, coordination,
+        lane_length, exit_cum, exit_last, stride, entry_key,
+    )
 
 
 @dataclass(frozen=True)
@@ -149,13 +167,14 @@ class NetworkTopology:
 
     @cached_property
     def tables(self) -> TopologyTables:
-        """The padded arrays the level-2 and level-3 kernels run on.
+        """The padded arrays the level-1 array kernel and the level-2 and
+        level-3 kernels run on.
 
         Built on first use and cached on the topology.  A lane's exits and a
         phase's lanes keep their stored order; padding adds 0.0 to a sum,
         and a phase a node lacks scores -inf.
         """
-        return _compile_tables(self.lanes, self.intersections)
+        return _compile_tables(self.lanes, self.intersections, self.entry_points)
 
 
 @dataclass(slots=True)
@@ -193,6 +212,37 @@ class Level1State:
     @property
     def vehicle_count(self) -> int:
         return sum(map(len, self.lane_vehicles))
+
+
+class Level1Arrays:
+    """Vehicle-level state as whole-network arrays, the form large networks use.
+
+    ``data`` holds one column per vehicle with rows lane, cell, speed and id,
+    sorted by lane and then by cell, so a lane's vehicles are one contiguous
+    segment whose last column is the lane's front vehicle.
+    """
+
+    __slots__ = ("data", "lane_lengths")
+
+    def __init__(self, lane_lengths: list[int]):
+        self.lane_lengths = np.array(lane_lengths, dtype=np.intp)
+        self.data = np.empty((4, 0), dtype=np.intp)
+
+    @classmethod
+    def empty(cls, topology: NetworkTopology) -> "Level1Arrays":
+        return cls([lane.length for lane in topology.lanes])
+
+    @property
+    def lane_vehicles(self) -> tuple[tuple[Vehicle, ...], ...]:
+        """Per-lane copies of the vehicle records, laid out as in :class:`Level1State`."""
+        lanes: list[list[Vehicle]] = [[] for _ in self.lane_lengths]
+        for li, cell, speed, vid in self.data.T.tolist():
+            lanes[li].append(Vehicle(vid, cell, speed))
+        return tuple(map(tuple, lanes))
+
+    @property
+    def vehicle_count(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -451,8 +501,12 @@ def validate_topology(topology: NetworkTopology) -> list[str]:
     return report
 
 
-def check_level1(state: Level1State, topology: NetworkTopology, v_max: int) -> list[str]:
+def check_level1(
+    state: Level1State | Level1Arrays, topology: NetworkTopology, v_max: int
+) -> list[str]:
     """Check vehicle-level invariants (collision freedom, bounds, sortedness)."""
+    if type(state) is Level1Arrays:
+        return _check_arrays(state, topology, v_max)
     report: list[str] = []
     for li, lst in enumerate(state.lane_vehicles):
         length = topology.lanes[li].length
@@ -468,4 +522,24 @@ def check_level1(state: Level1State, topology: NetworkTopology, v_max: int) -> l
             if not 0 <= veh.speed <= v_max:
                 report.append(f"lane {li}: vehicle {veh.id} speed {veh.speed} out of range")
             prev = veh.cell
+    return report
+
+
+def _check_arrays(state: Level1Arrays, topology: NetworkTopology, v_max: int) -> list[str]:
+    lane, cell, speed, vid = state.data
+    problems = [
+        ((cell < 0) | (cell >= topology.tables.lane_length[lane]), "at cell {c} off-lane"),
+        ((speed < 0) | (speed > v_max), "speed {s} out of range"),
+    ]
+    report = [
+        f"lane {lane[i]}: vehicle {vid[i]} " + text.format(c=cell[i], s=speed[i])
+        for bad, text in problems
+        for i in np.flatnonzero(bad).tolist()
+    ]
+    unsorted = (lane[1:] < lane[:-1]) | (lane[1:] == lane[:-1]) & (cell[1:] <= cell[:-1])
+    for i in np.flatnonzero(unsorted).tolist():
+        report.append(
+            f"lane {lane[i + 1]}: cell {cell[i + 1]} not strictly after lane {lane[i]} "
+            f"cell {cell[i]} (collision or unsorted)"
+        )
     return report

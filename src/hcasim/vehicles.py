@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Level1State, NetworkTopology, SimulationError, Vehicle
+from .model import Level1Arrays, Level1State, NetworkTopology, SimulationError, Vehicle
 
 
 class RngStream:
@@ -81,7 +81,7 @@ _NO_DRAWS: list[float] = []
 
 
 def advance_all(
-    state: Level1State,
+    state: Level1State | Level1Arrays,
     topology: NetworkTopology,
     gamma: Sequence[int],
     v_max: int,
@@ -95,8 +95,12 @@ def advance_all(
     keeps it short of the stop line, the draw stays consumed.  When vehicles
     from several lanes land on the same successor cell in one step, the lane
     with the lower id wins and later claimants fall back to the next free
-    cell behind, or wait in place when none is left.
+    cell behind, or wait in place when none is left.  Both state forms take
+    the same draws and reach the same state; ``gamma`` is an int array for
+    :class:`Level1Arrays`.
     """
+    if type(state) is Level1Arrays:
+        return _advance_arrays(state, topology, gamma, v_max, p, rng)
     lanes = topology.lanes
     old_lists = state.lane_vehicles
     lengths = state.lane_lengths
@@ -187,6 +191,92 @@ def advance_all(
     return removed
 
 
+def _advance_arrays(
+    state: Level1Arrays,
+    topology: NetworkTopology,
+    gamma: np.ndarray,
+    v_max: int,
+    p: float,
+    rng: RngStream,
+) -> int:
+    data = state.data
+    lane, cell, speed = data[0], data[1], data[2]
+    n = lane.size
+    if not n:
+        return 0
+    t = topology.tables
+    n_lanes = t.lane_length.size
+    counts = np.bincount(lane, minlength=n_lanes)
+    occupied = counts > 0
+    ends = counts.cumsum()
+    starts = ends - counts
+    v = np.minimum(speed + 1, v_max)
+    # a follower brakes against its leader's old cell: the next column
+    cap = np.empty(n, dtype=np.intp)
+    np.subtract(cell[1:], cell[:-1] + 1, out=cap[:-1])
+    front = ends[occupied] - 1
+    fl, fk = lane.take(front), cell.take(front)
+    flen = t.lane_length.take(fl)
+    if (fk >= flen).any():
+        raise SimulationError(f"a vehicle sits past the end of lane {fl[fk >= flen][0]}")
+    green = gamma.take(fl) != 0  # a network-exit lane always reads green
+    signalled = t.exit_last.take(fl) >= 0  # not a network-exit lane
+    fcap = np.where(green, v_max, flen - fk - 1)
+    commit = np.flatnonzero(green & signalled & (fk + v.take(front) >= flen))
+    if commit.size:
+        cl = fl.take(commit)
+        pick = t.exit_last.take(cl)
+        multi = np.flatnonzero(pick)
+        if multi.size:
+            u = rng.turn.random(multi.size)
+            # pick_exit: the first exit whose running weight sum exceeds u, else the last
+            hits = (u >= t.exit_cum.take(cl.take(multi), axis=1)).sum(axis=0)
+            pick[multi] = np.minimum(hits, pick.take(multi))
+        target = t.exit_targets.take(pick * n_lanes + cl)
+        head = np.where(occupied, cell.take(np.minimum(starts, n - 1)), t.lane_length)
+        fcap[commit] = flen.take(commit) - fk.take(commit) + head.take(target) - 1
+    cap[front] = fcap
+    np.minimum(v, cap, out=v)
+    # dawdle draws run lane by lane from the front: element i of lane
+    # segment [s, e] takes draw s + e - i
+    draws = rng.dawdle.random(n).take((starts + ends - 1).take(lane) - np.arange(n))
+    v -= draws < p
+    np.maximum(v, 0, out=v)
+    cell += v
+    speed[:] = v
+
+    past = cell.take(front) >= flen
+    if not past.any():
+        return 0
+    gone = past & ~signalled
+    if commit.size:
+        crossed = np.flatnonzero(past.take(commit))
+        at = commit.take(crossed)
+        idx, old, lengths = front.take(at), fk.take(at), flen.take(at)
+        goal = target.take(crossed)
+        land = cell.take(idx) - lengths
+        if len(set(goal.tolist())) < goal.size:
+            # a merge: lanes claim cells in lane order, later claimants step back
+            taken: dict[int, set[int]] = {}
+            land_l = land.tolist()
+            for j, g in enumerate(goal.tolist()):
+                claimed = taken.setdefault(g, set())
+                while land_l[j] >= 0 and land_l[j] in claimed:
+                    land_l[j] -= 1
+                claimed.add(land_l[j])
+            land = np.array(land_l, dtype=np.intp)
+            wait = land < 0  # squeezed out: waits in place at speed 0
+            land[wait], goal[wait], lengths[wait] = old[wait], lane.take(idx[wait]), 0
+        lane[idx], cell[idx], speed[idx] = goal, land, lengths - old + land
+    removed = int(np.count_nonzero(gone))
+    lane[front[gone]] = n_lanes  # sorts past every lane, then is cut off
+    # crossers now sit ahead of their new lane's stayers; a stable sort of
+    # the nearly sorted keys regroups them
+    order = np.argsort(lane * t.key_stride + cell, kind="stable")
+    state.data = data.take(order[: n - removed], axis=1)
+    return removed
+
+
 class InjectionProcess:
     """Bernoulli arrivals at the network entries, with a pending backlog.
 
@@ -203,6 +293,7 @@ class InjectionProcess:
                 f"{len(intensities)} intensities for "
                 f"{len(topology.entry_points)} entry points"
             )
+        self.topology = topology
         self.entries = topology.entry_points
         self.intensities = tuple(intensities)
         self.pending = [0] * len(self.entries)
@@ -218,8 +309,10 @@ class InjectionProcess:
         """Arrivals drawn but still waiting for a free entry cell."""
         return sum(self.pending)
 
-    def inject(self, state: Level1State, rng: RngStream) -> None:
+    def inject(self, state: Level1State | Level1Arrays, rng: RngStream) -> None:
         """Draw this step's arrivals and place what fits."""
+        if type(state) is Level1Arrays:
+            return self._inject_arrays(state, rng)
         draws = rng.injection.random(len(self.entries)).tolist()
         for ei, (lane_id, cell) in enumerate(self.entries):
             if draws[ei] < self.intensities[ei]:
@@ -233,3 +326,37 @@ class InjectionProcess:
             lst.insert(pos, Vehicle(self.next_id, cell, 0))
             self.next_id += 1
             self.pending[ei] -= 1
+
+    def _inject_arrays(self, state: Level1Arrays, rng: RngStream) -> None:
+        draws = rng.injection.random(len(self.entries)).tolist()
+        pending = self.pending
+        waiting = []
+        for ei, rate in enumerate(self.intensities):
+            if draws[ei] < rate:
+                pending[ei] += 1
+            if pending[ei]:
+                waiting.append(ei)
+        if not waiting:
+            return
+        t = self.topology.tables
+        data = state.data
+        key = data[0] * t.key_stride + data[1]
+        want = t.entry_key[waiting]
+        pos = np.searchsorted(key, want)
+        free = np.searchsorted(key, want, "right") == pos  # entry cell empty
+        placing: dict[int, tuple[int, int]] = {}  # cell key -> (insert position, id)
+        for ei, cell_key, at, empty in zip(waiting, want.tolist(), pos.tolist(), free.tolist()):
+            if empty and cell_key not in placing:  # of entries sharing a cell, the first places
+                placing[cell_key] = (at, self.next_id)
+                self.next_id += 1
+                pending[ei] -= 1
+        if not placing:
+            return
+        # in cell-key order, so entries sharing an insert position go in cell order
+        parts, prev = [], 0
+        for cell_key, (at, vid) in sorted(placing.items()):
+            lane, cell = divmod(cell_key, t.key_stride)
+            parts += [data[:, prev:at], [[lane], [cell], [0], [vid]]]
+            prev = at
+        parts.append(data[:, prev:])
+        state.data = np.concatenate(parts, axis=1)

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -11,7 +12,8 @@ from hcasim import (
     NetworkTopology,
     derive_compatibility,
 )
-from hcasim.model import Level1State, Vehicle
+import hcasim.engine
+from hcasim.model import Level1Arrays, Level1State, Vehicle
 
 
 def cross_topology(length: int = 10, v_max: int = 2) -> NetworkTopology:
@@ -55,7 +57,7 @@ def merge_topology(length: int = 10, v_max: int = 2) -> NetworkTopology:
         LaneDescriptor(length, None, 0, ((2, 1.0),)),
         LaneDescriptor(length, None, 0, ((2, 1.0),)),
         LaneDescriptor(length, 0, None),
-        LaneDescriptor(length, None, 0, ((3, 1.0),)),
+        LaneDescriptor(length, None, 0, ((4, 1.0),)),
         LaneDescriptor(length, 0, None),
     )
     node = IntersectionDescriptor(inbound_lanes=(0, 1, 3), phases=((0, 1), (3,)))
@@ -104,6 +106,27 @@ def state_with(topology: NetworkTopology, *vehicles) -> Level1State:
     for lst in state.lane_vehicles:
         lst.sort(key=lambda v: v.cell)
     return state
+
+
+def arrays_of(state: Level1State) -> Level1Arrays:
+    """The same vehicles as a :class:`Level1Arrays` state."""
+    arrays = Level1Arrays(state.lane_lengths)
+    columns = [
+        (li, v.cell, v.speed, v.id) for li, lst in enumerate(state.lane_vehicles) for v in lst
+    ]
+    arrays.data = np.array(columns, dtype=np.intp).reshape(-1, 4).T.copy()
+    return arrays
+
+
+# the size limit that puts every network on each level-1 form
+LEVEL1_FORMS = {"lists": sys.maxsize, "arrays": 0}
+
+
+def each_level1_form(monkeypatch):
+    """Yield each level-1 form's name while every new Simulation takes it."""
+    for form, limit in LEVEL1_FORMS.items():
+        monkeypatch.setattr(hcasim.engine, "ARRAY_MIN_LANES", limit)
+        yield form
 
 
 @pytest.fixture

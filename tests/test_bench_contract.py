@@ -31,6 +31,8 @@ from hcasim import Simulation, grid_config, run_many
 from hcasim.model import IntersectionState
 from hcasim.signals import AdaptiveSelector, FixedTimeSelector, controller_strategy
 
+from conftest import each_level1_form
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
@@ -82,13 +84,15 @@ def test_advance_all_gets_the_state_first(monkeypatch):
         return advance_all(*args, **kwargs)
 
     monkeypatch.setattr(hcasim.engine, "advance_all", recording)
-    sim = Simulation(grid_config(q=0.5, horizon=5, seed=1))
-    for _ in range(5):
-        on_road, injected = sim.state.vehicle_count, sim.injector.total_injected
-        sim.step()
-        # everything on the road after this step's arrivals moves once
-        assert seen[-1] == on_road + sim.injector.total_injected - injected
-    assert len(seen) == 5 and seen[-1] > 0
+    for _ in each_level1_form(monkeypatch):
+        seen.clear()
+        sim = Simulation(grid_config(q=0.5, horizon=5, seed=1))
+        for _ in range(5):
+            on_road, injected = sim.state.vehicle_count, sim.injector.total_injected
+            sim.step()
+            # everything on the road after this step's arrivals moves once
+            assert seen[-1] == on_road + sim.injector.total_injected - injected
+        assert len(seen) == 5 and seen[-1] > 0
 
 
 def test_run_many_positional_signature():

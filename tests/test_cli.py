@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
+from hcasim import arterial_config, run
 from hcasim.cli import _alpha_grid, build_parser, main
 
 
@@ -47,7 +49,8 @@ def test_missing_config_file_is_config_error(capsys):
 def test_fixed_time_without_split_is_config_error(capsys):
     # built-in scenarios carry no split; fixed_time needs a config file
     assert main(["run", "--strategy", "fixed_time", "--steps", "5"]) == 2
-    assert "fixed_time_split" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fixed_time_split" in err and "--split" in err
 
 
 def test_unwritable_output_is_runtime_error(tmp_path, monkeypatch, capsys):
@@ -203,6 +206,20 @@ def test_output_naming_a_directory_is_config_error(argv, capsys, no_runs):
     assert "config error" in err and ": is a directory" in err
 
 
+@pytest.mark.parametrize("argv", _sweep_and_compare("--runs", "1", "--jobs", "1", "--out", "x.csv"))
+def test_meta_path_naming_a_directory_is_config_error(argv, tmp_path, capsys, no_runs):
+    (tmp_path / "x.csv.meta.json").mkdir()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: --out x.csv: meta file x.csv.meta.json: is a directory" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_split_without_fixed_time_is_config_error(capsys, no_runs):
+    assert main(["run", "--split", "20,20", "--steps", "5"]) == 2
+    assert "--split applies to the fixed_time strategy, not hca" in capsys.readouterr().err
+
+
 def test_non_utf8_config_file_is_config_error(tmp_path, capsys, no_runs):
     cfg = tmp_path / "net.cfg"
     cfg.write_bytes(b"# caf\xe9\nq = 0.1\n[scenario]\nkind = grid\n")
@@ -242,6 +259,16 @@ def test_run_prints_metrics(capsys):
         "config_digest",
     }
     assert lines["horizon"] == "30" and lines["seed"] == "4"
+
+
+def test_run_fixed_time_takes_split_flag(capsys):
+    argv = ["run", "--scenario", "arterial", "--strategy", "fixed_time", "--split", "20,20",
+            "--steps", "50"]
+    assert main(argv) == 0
+    rec = run(arterial_config(strategy="fixed_time", fixed_time_split=(20, 20), horizon=50))
+    assert capsys.readouterr().out == "".join(
+        f"{f.name}={getattr(rec, f.name)}\n" for f in fields(rec)
+    )
 
 
 def test_run_stdout_is_deterministic(capsys):

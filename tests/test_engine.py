@@ -22,11 +22,17 @@ from hcasim import (
     run,
 )
 from hcasim.engine import count_stopped, trace_columns
-from hcasim.model import IntersectionState, Vehicle
+from hcasim.model import IntersectionState, Level1Arrays, Level1State, Vehicle
 from netgen import random_config, random_topology
 from reference import RefSim
 
-from conftest import cross_topology, mixed_phase_topology, state_with
+from conftest import (
+    cross_topology,
+    each_level1_form,
+    merge_topology,
+    mixed_phase_topology,
+    state_with,
+)
 
 
 # --- count_stopped ----------------------------------------------------------
@@ -206,58 +212,69 @@ def _ref_kwargs(cfg: SimConfig) -> dict:
     )
 
 
-def _lockstep(cfg: SimConfig, steps: int) -> None:
-    sim = Simulation(cfg, check_invariants=True)
-    ref = RefSim(cfg.topology, **_ref_kwargs(cfg))
-    for t in range(steps):
-        sim.step()
-        ref.step()
-        lanes = ref.lane_snapshot()
-        for li, lane in enumerate(cfg.topology.lanes):
-            # the reference stores an exit lane's last cell on each vehicle
-            dest = lane.length - 1 if lane.downstream is None else None
-            got = tuple(
-                (v.cell, v.id, v.speed, dest) for v in sim.state.lane_vehicles[li]
+def _lockstep(cfg: SimConfig, steps: int, monkeypatch) -> None:
+    for form in each_level1_form(monkeypatch):
+        sim = Simulation(cfg, check_invariants=True)
+        ref = RefSim(cfg.topology, **_ref_kwargs(cfg))
+        for t in range(steps):
+            sim.step()
+            ref.step()
+            lanes = ref.lane_snapshot()
+            per_lane = sim.state.lane_vehicles
+            for li, lane in enumerate(cfg.topology.lanes):
+                # the reference stores an exit lane's last cell on each vehicle
+                dest = lane.length - 1 if lane.downstream is None else None
+                got = tuple((v.cell, v.id, v.speed, dest) for v in per_lane[li])
+                assert got == lanes[li], f"{form}: lane {li} diverged at step {t}"
+            assert [(s.pi, s.tau) for s in sim.node_states] == ref.node_snapshot(), (
+                f"{form}: controller diverged at step {t}"
             )
-            assert got == lanes[li], f"lane {li} diverged at step {t}"
-        assert [(s.pi, s.tau) for s in sim.node_states] == ref.node_snapshot(), (
-            f"controller diverged at step {t}"
-        )
-        assert list(sim.gamma) == list(ref.gamma), f"signals diverged at step {t}"
-        assert sim.total_stop_delay == ref.total_delay, f"delay diverged at {t}"
+            assert list(sim.gamma) == list(ref.gamma), f"{form}: signals diverged at step {t}"
+            assert sim.total_stop_delay == ref.total_delay, f"{form}: delay diverged at {t}"
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47, 61, 89, 97])
-def test_lockstep_with_reference_on_random_networks(seed):
-    _lockstep(random_config(seed), 200)
+def test_lockstep_with_reference_on_random_networks(seed, monkeypatch):
+    _lockstep(random_config(seed), 200, monkeypatch)
 
 
-def test_lockstep_with_reference_on_grid():
-    _lockstep(grid_config(q=0.1, horizon=200, seed=31), 200)
+def test_lockstep_with_reference_on_grid(monkeypatch):
+    _lockstep(grid_config(q=0.1, horizon=200, seed=31), 200, monkeypatch)
 
 
-def test_lockstep_with_reference_on_arterial():
-    _lockstep(arterial_config(q=0.15, horizon=200, seed=13), 200)
+def test_lockstep_with_reference_on_arterial(monkeypatch):
+    _lockstep(arterial_config(q=0.15, horizon=200, seed=13), 200, monkeypatch)
+
+
+def test_lockstep_with_reference_on_merge_network(monkeypatch):
+    # both approaches of phase 0 feed lane 2, so crossings contend for its cells
+    _lockstep(SimConfig(merge_topology(), q=0.5, p=0.1, seed=4, horizon=300), 300, monkeypatch)
+
+
+def test_lockstep_with_reference_with_entries_sharing_a_cell(monkeypatch):
+    # two entries feed lane 0's first cell; while it is taken both arrivals wait
+    topo = replace(cross_topology(), entry_points=((0, 0), (1, 0), (0, 0)))
+    _lockstep(SimConfig(topo, q=0.6, seed=6, horizon=200), 200, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [11, 47, 89, 97])
-def test_lockstep_with_reference_under_min_green_and_stop_window(seed):
+def test_lockstep_with_reference_under_min_green_and_stop_window(seed, monkeypatch):
     # random_config never sets either knob; draw them from a stream of their own
     rng = random.Random(seed)
     cfg = replace(
         random_config(seed), min_green=rng.randint(1, 6), stop_window=rng.randint(1, 8)
     )
-    _lockstep(cfg, 200)
+    _lockstep(cfg, 200, monkeypatch)
 
 
-def test_lockstep_with_reference_on_grid_with_min_green_and_stop_window():
-    _lockstep(grid_config(q=0.15, horizon=200, seed=19, min_green=4, stop_window=10), 200)
+def test_lockstep_with_reference_on_grid_with_min_green_and_stop_window(monkeypatch):
+    cfg = grid_config(q=0.15, horizon=200, seed=19, min_green=4, stop_window=10)
+    _lockstep(cfg, 200, monkeypatch)
 
 
-def test_lockstep_with_reference_on_arterial_with_min_green_and_stop_window():
-    _lockstep(
-        arterial_config(q=0.2, horizon=200, seed=29, min_green=5, stop_window=6), 200
-    )
+def test_lockstep_with_reference_on_arterial_with_min_green_and_stop_window(monkeypatch):
+    cfg = arterial_config(q=0.2, horizon=200, seed=29, min_green=5, stop_window=6)
+    _lockstep(cfg, 200, monkeypatch)
 
 
 def test_known_run_regression():
@@ -281,9 +298,10 @@ def test_network_without_intersections_runs(strategy, split):
     assert (rec.vehicles_injected, rec.vehicles_removed, rec.vehicles_in_network) == (3, 2, 1)
 
 
-def test_invariant_checking_runs_clean():
+def test_invariant_checking_runs_clean(monkeypatch):
     cfg = grid_config(q=0.2, horizon=150, seed=8)
-    run(cfg, check_invariants=True)
+    for _ in each_level1_form(monkeypatch):
+        run(cfg, check_invariants=True)
 
 
 # --- pinned behaviour -----------------------------------------------------------
@@ -329,26 +347,67 @@ def test_invariant_checking_runs_clean():
         "mixed-phases-min-green",
     ],
 )
-def test_pinned_records(make, expect):
-    assert run(make()) == expect
+def test_pinned_records(make, expect, monkeypatch):
+    for form in each_level1_form(monkeypatch):
+        assert run(make()) == expect, form
 
 
-def test_pinned_trace_digest(tmp_path):
-    path = tmp_path / "trace.csv"
-    run(grid_config(q=0.15, alpha=1.0, seed=5, horizon=200), trace=str(path))
-    data = path.read_bytes()
+@pytest.mark.parametrize(
+    "make,expect",
+    [
+        (
+            lambda: grid_config(
+                roads_per_direction=16, q=0.1, alpha=1.0, seed=1, strategy="hca", horizon=1000
+            ),
+            MetricsRecord(80866, 3183, 1909, 1274, 1000, 1, "3483865f8033ede0"),
+        ),
+        (
+            lambda: arterial_config(
+                intersections=32, q=0.3, seed=1, strategy="fixed_time",
+                fixed_time_split=(20, 20), horizon=3600,
+            ),
+            MetricsRecord(510288, 3300, 2878, 422, 3600, 1, "ef8bcf4f6da39ad3"),
+        ),
+    ],
+    ids=["grid16-hca", "arterial32-fixed"],
+)
+def test_pinned_records_of_large_networks(make, expect, monkeypatch):
+    # pinned while level 1 ran as per-lane lists only
+    for form in each_level1_form(monkeypatch):
+        assert run(make()) == expect, form
+
+
+def test_level1_form_follows_network_size():
+    assert type(Simulation(grid_config()).state) is Level1State
+    assert type(Simulation(arterial_config()).state) is Level1State
+    assert type(Simulation(grid_config(roads_per_direction=16)).state) is Level1Arrays
+    assert type(Simulation(arterial_config(intersections=32)).state) is Level1Arrays
+
+
+def _trace_bytes(cfg: SimConfig, tmp_path, monkeypatch) -> bytes:
+    """The trace of ``cfg``, the same on both level-1 forms."""
+    traces = []
+    for form in each_level1_form(monkeypatch):
+        path = tmp_path / f"{form}.csv"
+        run(cfg, trace=str(path))
+        traces.append(path.read_bytes())
+    assert traces[0] == traces[1]
+    return traces[0]
+
+
+def test_pinned_trace_digest(tmp_path, monkeypatch):
+    cfg = grid_config(q=0.15, alpha=1.0, seed=5, horizon=200)
+    data = _trace_bytes(cfg, tmp_path, monkeypatch)
     assert len(data) == 113722
     assert hashlib.sha256(data).hexdigest() == (
         "c5f1111b3f7b844d6fe048790fb43b8920da70a17e5a37772dcf07faf971531f"
     )
 
 
-def test_pinned_fixed_time_trace_digest(tmp_path):
+def test_pinned_fixed_time_trace_digest(tmp_path, monkeypatch):
     # pinned before level 3 ran as array kernels
-    path = tmp_path / "trace.csv"
     cfg = arterial_config(strategy="fixed_time", fixed_time_split=(20, 20), horizon=200)
-    run(cfg, trace=str(path))
-    data = path.read_bytes()
+    data = _trace_bytes(cfg, tmp_path, monkeypatch)
     assert len(data) == 37109
     assert hashlib.sha256(data).hexdigest() == (
         "ccc7b779601b3a8953b8ecb1601abca93f3a9999e3db2f2b8d682dd04d44d17b"

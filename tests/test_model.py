@@ -17,7 +17,7 @@ from hcasim import (
     validate_topology,
 )
 from hcasim.model import Level1State, check_level1
-from conftest import cross_topology, state_with
+from conftest import arrays_of, cross_topology, state_with
 from netgen import random_topology
 
 
@@ -210,22 +210,31 @@ def test_state_cell_view_matches_records(cross):
     assert [len(lst) for lst in state.lane_vehicles] == [2, 1, 0, 0]
 
 
+def _both_forms(state):
+    return state, arrays_of(state)
+
+
 def test_check_level1_clean(cross):
-    state = state_with(cross, (0, 2, 1), (0, 5, 2))
-    assert check_level1(state, cross, 2) == []
+    for state in _both_forms(state_with(cross, (0, 2, 1), (0, 5, 2), (2, 9, 0))):
+        assert check_level1(state, cross, 2) == []
 
 
 def test_check_level1_detects_collision_and_order(cross):
-    state = state_with(cross, (0, 4, 1), (0, 4, 2))
-    assert any("collision" in v for v in check_level1(state, cross, 2))
+    for state in _both_forms(state_with(cross, (0, 4, 1), (0, 4, 2))):
+        assert any("collision" in v for v in check_level1(state, cross, 2))
     state = state_with(cross, (0, 2, 1), (0, 5, 1))
     state.lane_vehicles[0].reverse()
+    for state in _both_forms(state):
+        assert any("collision or unsorted" in v for v in check_level1(state, cross, 2))
+    # lanes out of order in the arrays
+    state = arrays_of(state_with(cross, (0, 2, 1), (1, 5, 1)))
+    state.data = state.data[:, ::-1].copy()
     assert any("collision or unsorted" in v for v in check_level1(state, cross, 2))
 
 
 def test_check_level1_detects_bounds(cross):
-    state = state_with(cross, (0, 12, 1))
-    assert any("off-lane" in v for v in check_level1(state, cross, 2))
-    state = state_with(cross, (0, 3, 5))
-    assert any("speed" in v for v in check_level1(state, cross, 2))
+    for state in _both_forms(state_with(cross, (0, 12, 1))):
+        assert any("off-lane" in v for v in check_level1(state, cross, 2))
+    for state in _both_forms(state_with(cross, (0, 3, 5))):
+        assert any("speed" in v for v in check_level1(state, cross, 2))
 

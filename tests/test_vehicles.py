@@ -16,7 +16,7 @@ from hcasim.vehicles import (
     pick_exit,
     randomize,
 )
-from conftest import cross_topology, fork_topology, merge_topology, state_with
+from conftest import arrays_of, cross_topology, fork_topology, merge_topology, state_with
 from netgen import random_config
 
 ALL_GREEN = [1, 1, 1, 1]
@@ -296,3 +296,37 @@ def test_generated_runs_keep_level1_invariants(seed):
         ids_seen |= on_road
     assert sim.injector.total_injected == sim.removed_total + sim.state.vehicle_count
     assert ids_seen <= set(range(sim.injector.total_injected))
+
+
+@st.composite
+def _placements(draw):
+    """A topology, vehicles on distinct cells of each lane, and signal bits."""
+    make = draw(st.sampled_from((cross_topology, fork_topology, merge_topology)))
+    v_max = draw(st.integers(1, 3))
+    topo = make(length=draw(st.integers(2, 8)), v_max=v_max)
+    vehicles = []
+    for li, lane in enumerate(topo.lanes):
+        cells = draw(st.sets(st.integers(0, lane.length - 1)))
+        vehicles += [(li, c, draw(st.integers(0, v_max))) for c in sorted(cells)]
+    # network-exit lanes always read green
+    gamma = [1 if lane.downstream is None else draw(st.integers(0, 1)) for lane in topo.lanes]
+    return topo, v_max, vehicles, gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(_placements(), st.sampled_from((0.0, 0.3, 1.0)), st.integers(0, 2**32 - 1))
+def test_array_form_advances_like_the_lists(placement, p, seed):
+    topo, v_max, vehicles, gamma = placement
+    lists = state_with(topo, *vehicles)
+    arrays = arrays_of(lists)
+    rng_l, rng_a = RngStream(seed), RngStream(seed)
+    removed_l = advance_all(lists, topo, gamma, v_max, p, rng_l)
+    removed_a = advance_all(arrays, topo, np.array(gamma), v_max, p, rng_a)
+    assert removed_a == removed_l
+    assert [[(v.id, v.cell, v.speed) for v in lst] for lst in arrays.lane_vehicles] == [
+        [(v.id, v.cell, v.speed) for v in lst] for lst in lists.lane_vehicles
+    ]
+    assert check_level1(arrays, topo, v_max) == []
+    # both forms took the same number of draws from every stream
+    assert rng_a.dawdle.random() == rng_l.dawdle.random()
+    assert rng_a.turn.random() == rng_l.turn.random()

@@ -122,6 +122,9 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
         )
     if "fixed_time_split" in overrides and strategy != "fixed_time":
         raise ConfigError(f"--split applies to the fixed_time strategy, not {strategy}")
+    # compare always runs an hca variant, which takes the weight
+    if "alpha" in overrides and args.command == "run" and strategy != "hca":
+        raise ConfigError(f"--alpha applies to the hca strategy, not {strategy}")
     return replace(cfg, **overrides)
 
 
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one simulation")
     add_common(p_run)
     p_run.add_argument("--q", type=float, default=None, help="entry demand probability")
-    p_run.add_argument("--alpha", type=float, default=None, help="coordination weight")
+    p_run.add_argument("--alpha", type=float, default=None, help="coordination weight (hca only)")
     p_run.add_argument(
         "--strategy",
         choices=("hca", "backpressure", "fixed_time"),

@@ -7,8 +7,8 @@ Step order, fixed by contract:
 2. lane occupancy and differential backlog are recomputed;
 3. every intersection selects its next phase from the fresh backlogs and the
    previous step's neighbor states;
-4. the chosen phases are written back to per-lane signal indications (only
-   the lanes of intersections whose phase changed are rewritten).
+4. the chosen phases fix the per-lane signal indications of the next move;
+   :attr:`Simulation.gamma` looks them up in a table, nothing stores them.
 
 Stop delay then accumulates: one unit per vehicle standing still at the end
 of the step, not counting vehicles placed this step.
@@ -17,7 +17,6 @@ of the step, not counting vehicles placed this step.
 from __future__ import annotations
 
 import csv
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO
@@ -38,7 +37,7 @@ from .model import (
     validate_topology,
 )
 from .signals import controller_strategy
-from .vehicles import InjectionProcess, RngStream, advance_all
+from .vehicles import InjectionProcess, RngStream, advance_all, count_stopped
 
 
 def trace_columns(topology: NetworkTopology) -> tuple[str, ...]:
@@ -74,31 +73,6 @@ class MetricsRecord:
 ARRAY_MIN_LANES = 80
 
 
-def count_stopped(
-    state: Level1State | Level1Arrays,
-    window: int | None = None,
-    first_new_id: float = math.inf,
-) -> int:
-    """Vehicles standing still, optionally only within the last ``window``
-    cells of each lane, skipping ids from ``first_new_id`` on (ids are dense,
-    so those are the vehicles placed this step)."""
-    if type(state) is Level1Arrays:
-        lane, cell, speed, vid = state.data
-        stopped = (speed == 0) & (vid < first_new_id)
-        if window is not None:
-            stopped &= cell >= (state.lane_lengths - window)[lane]
-        return int(np.count_nonzero(stopped))
-    lengths = state.lane_lengths
-    # Without a window every cell counts: a cutoff of 0 admits them all.
-    cutoff = [0] * len(lengths) if window is None else [n - window for n in lengths]
-    return sum(
-        1
-        for li, lst in enumerate(state.lane_vehicles)
-        for v in lst
-        if v.speed == 0 and v.cell >= cutoff[li] and v.id < first_new_id
-    )
-
-
 class Simulation:
     """Owns the mutable state of one run and advances it step by step."""
 
@@ -125,17 +99,19 @@ class Simulation:
         self.node_states = Level3State(
             np.zeros(n_nodes, dtype=np.intp), np.zeros(n_nodes, dtype=np.intp)
         )
-        self.gamma = apply_signal_indications([0] * n_nodes, config.topology)
-        if arrays:
-            self.gamma = np.array(self.gamma, dtype=np.intp)
-        self.occupancy = compute_occupancy(self.state)
-        # The network starts empty, so every backlog is 0.0; the first step
-        # compiles the topology's tables.
+        # The network starts empty, so every occupancy and backlog is 0; the
+        # first step compiles the topology's tables.
+        self.occupancy = np.zeros(config.topology.n_lanes, dtype=np.intp)
         self.backlog = np.zeros(config.topology.n_lanes)
         self.t = 0
         self.total_stop_delay = 0
         self.removed_total = 0
         self.last_stopped = 0
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Signal bit per lane (1 green, 0 red) under the current phases."""
+        return apply_signal_indications(self.node_states.pi, self.topology)
 
     def step(self) -> None:
         cfg = self.config
@@ -147,21 +123,7 @@ class Simulation:
 
         self.occupancy = compute_occupancy(self.state)
         self.backlog = compute_backlog(self.occupancy, self.topology)
-
-        old = self.node_states
-        new = self.selector.select(self.topology, self.backlog, old)
-        switched = np.flatnonzero(new.pi != old.pi)
-        if switched.size:
-            nodes = self.topology.intersections
-            gamma = self.gamma
-            for i, was, now in zip(
-                switched.tolist(), old.pi[switched].tolist(), new.pi[switched].tolist()
-            ):
-                for li in nodes[i].phases[was]:
-                    gamma[li] = 0
-                for li in nodes[i].phases[now]:
-                    gamma[li] = 1
-        self.node_states = new
+        self.node_states = self.selector.select(self.topology, self.backlog, self.node_states)
 
         self.last_stopped = count_stopped(self.state, cfg.stop_window, first_new_id)
         self.total_stop_delay += self.last_stopped
@@ -202,9 +164,9 @@ def _write_trace_row(writer, sim: Simulation) -> None:
     # Fixed decimal formatting keeps traces byte-comparable across platforms.
     row: list[str] = [str(sim.t)]
     row += [str(pi) for pi in sim.node_states.pi.tolist()]
-    row += [str(o) for o in sim.occupancy]
+    row += [str(o) for o in sim.occupancy.tolist()]
     row += [f"{d:.6f}" for d in sim.backlog.tolist()]
-    row += [str(g) for g in sim.gamma]
+    row += [str(g) for g in sim.gamma.tolist()]
     row.append(str(sim.last_stopped))
     writer.writerow(row)
 

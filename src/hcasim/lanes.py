@@ -9,11 +9,11 @@ import numpy as np
 from .model import Level1Arrays, Level1State, NetworkTopology
 
 
-def compute_occupancy(state: Level1State | Level1Arrays) -> list[int] | np.ndarray:
-    """Vehicles currently on each lane (an int array for :class:`Level1Arrays`)."""
+def compute_occupancy(state: Level1State | Level1Arrays) -> np.ndarray:
+    """Vehicles currently on each lane, as an int array."""
     if type(state) is Level1Arrays:
         return np.bincount(state.data[0], minlength=state.lane_lengths.size)
-    return list(map(len, state.lane_vehicles))
+    return np.fromiter(map(len, state.lane_vehicles), np.intp, len(state.lane_vehicles))
 
 
 def compute_backlog(occupancy: Sequence[int], topology: NetworkTopology) -> np.ndarray:
@@ -26,24 +26,23 @@ def compute_backlog(occupancy: Sequence[int], topology: NetworkTopology) -> np.n
     successors and carry a backlog of zero.
     """
     tables = topology.tables
-    occ = np.array(occupancy, dtype=np.intp)
+    occ = np.asarray(occupancy, dtype=np.intp)
     total = np.zeros(len(occ))
     for targets, weights in zip(tables.exit_targets, tables.exit_weights):
         total += weights * (occ - occ[targets])
     return total
 
 
-def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -> list[int]:
-    """Green/red bit per lane under the given active phase of each intersection.
+def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -> np.ndarray:
+    """Green (1) or red (0) bit per lane, as an int array, under the given
+    active phase of each intersection.
 
-    Lanes that leave the network have no signal and always read green.  The
-    engine calls this once, at construction; afterwards it rewrites only the
-    bits of intersections whose phase changed.
+    One lookup in the ``[lane, phase]`` green table of
+    :attr:`NetworkTopology.tables`; a lane that leaves the network has no
+    signal and reads green under every phase.
     """
-    gamma = [1] * len(topology.lanes)
-    for li, lane in enumerate(topology.lanes):
-        node = lane.downstream
-        if node is not None:
-            active = topology.intersections[node].phases[phases[node]]
-            gamma[li] = 1 if li in active else 0
-    return gamma
+    tables = topology.tables
+    # clipped, an exit lane's node -1 reads node 0's phase: its whole row is
+    # green; without intersections every lane is an exit lane
+    active = np.take(phases, tables.signal_node, mode="clip") if len(phases) else 0
+    return tables.signal_green.take(tables.signal_row + active)

@@ -96,6 +96,9 @@ class TopologyTables(NamedTuple):
     exit_last: np.ndarray     # [lanes]: index of the last exit, -1 on a network-exit lane
     key_stride: int           # the longest lane: lane * key_stride + cell orders the arrays
     entry_key: np.ndarray     # [entries]: that key of each entry cell
+    signal_node: np.ndarray   # [lanes]: the downstream node, -1 on a network-exit lane
+    signal_row: np.ndarray    # [lanes]: lane * max phases, a lane's row of signal_green
+    signal_green: np.ndarray  # [lanes * max phases]: flat [lane, phase] signal bit
 
 
 def _compile_tables(
@@ -139,9 +142,17 @@ def _compile_tables(
     exit_cum = np.where(real_exit, exit_weights.cumsum(axis=0), np.inf)
     stride = int(lane_length.max(initial=1))
     entry_key = np.array([li * stride + c for li, c in entry_points], dtype=np.intp)
+    # a lane is green under each phase of its downstream node that lists it,
+    # a network-exit lane (node -1) under every phase
+    downstream = [lane.downstream for lane in lanes]
+    signal_node = np.array([-1 if node is None else node for node in downstream], dtype=np.intp)
+    signalled = np.flatnonzero(signal_node >= 0)
+    green = np.ones((len(lanes), n_phases), dtype=np.intp)
+    green[signalled] = (phase_lanes[:, signal_node[signalled]] == signalled[:, None]).any(axis=0)
     return TopologyTables(
         exit_targets, exit_weights, phase_lanes, phase_base, coordination,
         lane_length, exit_cum, exit_last, stride, entry_key,
+        signal_node, n_phases * np.arange(len(lanes)), green.ravel(),
     )
 
 

@@ -18,9 +18,10 @@ independent reimplementation that wants draw-for-draw agreement):
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,6 +102,7 @@ def advance_all(
     """
     if type(state) is Level1Arrays:
         return _advance_arrays(state, topology, gamma, v_max, p, rng)
+    gamma = np.asarray(gamma).tolist()  # plain ints index faster than array items
     lanes = topology.lanes
     old_lists = state.lane_vehicles
     lengths = state.lane_lengths
@@ -277,6 +279,31 @@ def _advance_arrays(
     return removed
 
 
+def count_stopped(
+    state: Level1State | Level1Arrays,
+    window: int | None = None,
+    first_new_id: float = math.inf,
+) -> int:
+    """Vehicles standing still, optionally only within the last ``window``
+    cells of each lane, skipping ids from ``first_new_id`` on (ids are dense,
+    so those are the vehicles placed this step)."""
+    if type(state) is Level1Arrays:
+        lane, cell, speed, vid = state.data
+        stopped = (speed == 0) & (vid < first_new_id)
+        if window is not None:
+            stopped &= cell >= (state.lane_lengths - window)[lane]
+        return int(np.count_nonzero(stopped))
+    lengths = state.lane_lengths
+    # Without a window every cell counts: a cutoff of 0 admits them all.
+    cutoff = [0] * len(lengths) if window is None else [n - window for n in lengths]
+    return sum(
+        1
+        for li, lst in enumerate(state.lane_vehicles)
+        for v in lst
+        if v.speed == 0 and v.cell >= cutoff[li] and v.id < first_new_id
+    )
+
+
 class InjectionProcess:
     """Bernoulli arrivals at the network entries, with a pending backlog.
 
@@ -309,16 +336,21 @@ class InjectionProcess:
         """Arrivals drawn but still waiting for a free entry cell."""
         return sum(self.pending)
 
+    def _arrivals(self, rng: RngStream) -> Iterator[int]:
+        """Draw this step's arrivals; yield each entry with one pending, in entry order."""
+        draws = rng.injection.random(len(self.entries)).tolist()
+        for ei, rate in enumerate(self.intensities):
+            if draws[ei] < rate:
+                self.pending[ei] += 1
+            if self.pending[ei]:
+                yield ei
+
     def inject(self, state: Level1State | Level1Arrays, rng: RngStream) -> None:
         """Draw this step's arrivals and place what fits."""
         if type(state) is Level1Arrays:
-            return self._inject_arrays(state, rng)
-        draws = rng.injection.random(len(self.entries)).tolist()
-        for ei, (lane_id, cell) in enumerate(self.entries):
-            if draws[ei] < self.intensities[ei]:
-                self.pending[ei] += 1
-            if not self.pending[ei]:
-                continue
+            return self._inject_arrays(state, list(self._arrivals(rng)))
+        for ei in self._arrivals(rng):
+            lane_id, cell = self.entries[ei]
             lst = state.lane_vehicles[lane_id]
             pos = bisect_left(lst, cell, key=_cell_of)
             if pos < len(lst) and lst[pos].cell == cell:
@@ -327,15 +359,7 @@ class InjectionProcess:
             self.next_id += 1
             self.pending[ei] -= 1
 
-    def _inject_arrays(self, state: Level1Arrays, rng: RngStream) -> None:
-        draws = rng.injection.random(len(self.entries)).tolist()
-        pending = self.pending
-        waiting = []
-        for ei, rate in enumerate(self.intensities):
-            if draws[ei] < rate:
-                pending[ei] += 1
-            if pending[ei]:
-                waiting.append(ei)
+    def _inject_arrays(self, state: Level1Arrays, waiting: list[int]) -> None:
         if not waiting:
             return
         t = self.topology.tables
@@ -349,7 +373,7 @@ class InjectionProcess:
             if empty and cell_key not in placing:  # of entries sharing a cell, the first places
                 placing[cell_key] = (at, self.next_id)
                 self.next_id += 1
-                pending[ei] -= 1
+                self.pending[ei] -= 1
         if not placing:
             return
         # in cell-key order, so entries sharing an insert position go in cell order

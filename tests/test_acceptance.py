@@ -37,6 +37,8 @@ from hcasim.vehicles import accelerate, brake, randomize
 from netgen import random_config
 
 FULL = os.environ.get("HCASIM_ACCEPTANCE_FULL") == "1"
+# results do not depend on the worker count, so 5-7 use every core
+JOBS = os.cpu_count() or 1
 
 
 def _report(num: int, name: str, ok: bool, details: str = "") -> None:
@@ -196,7 +198,8 @@ def test_acceptance_4_free_flow_zero_delay():
 
 def _paired_protocol(cfg: SimConfig, alpha: float, scenario: str, runs: int = 50):
     rows = compare_strategies(
-        replace(cfg, alpha=alpha, seed=0), (0.05, 0.10, 0.15), runs, scenario=scenario
+        replace(cfg, alpha=alpha, seed=0), (0.05, 0.10, 0.15), runs, scenario=scenario,
+        jobs=JOBS,
     )
     pairs = summarize_comparison(rows)
     stats = []
@@ -258,7 +261,7 @@ def test_acceptance_7_weight_curve_has_interior_minimum():
     else:
         alphas = [0.0, 0.5, 1.0, 1.5, 2.0]
         runs = 20
-    rows = sweep_alpha(grid_config(q=0.10, seed=0), alphas, runs, scenario="grid")
+    rows = sweep_alpha(grid_config(q=0.10, seed=0), alphas, runs, scenario="grid", jobs=JOBS)
     means = {a: r.mean for a, r in zip(alphas, rows)}
     best_alpha = min(means, key=means.get)
     interior = means[best_alpha] < means[0.0] and means[best_alpha] < means[2.0]

@@ -220,6 +220,30 @@ def test_split_without_fixed_time_is_config_error(capsys, no_runs):
     assert "--split applies to the fixed_time strategy, not hca" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra", [["--strategy", "backpressure"], ["--strategy", "fixed_time", "--split", "20,20"]],
+    ids=["backpressure", "fixed_time"],
+)
+def test_alpha_without_hca_is_config_error(extra, capsys, no_runs):
+    assert main(["run", *extra, "--alpha", "2", "--steps", "20"]) == 2
+    strategy = extra[1]
+    assert f"--alpha applies to the hca strategy, not {strategy}" in capsys.readouterr().err
+
+
+def test_alpha_on_backpressure_config_file_is_config_error(tmp_path, capsys, no_runs):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("strategy = backpressure\n[scenario]\nkind = grid\n")
+    assert main(["run", "--scenario", f"file:{cfg}", "--alpha", "2", "--steps", "20"]) == 2
+    assert "--alpha applies to the hca strategy, not backpressure" in capsys.readouterr().err
+
+
+def test_alpha_key_in_backpressure_config_file_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("alpha = 2\nstrategy = backpressure\n[scenario]\nkind = grid\n")
+    assert main(["run", "--scenario", f"file:{cfg}", "--steps", "20"]) == 0
+    assert "horizon=20" in capsys.readouterr().out
+
+
 def test_non_utf8_config_file_is_config_error(tmp_path, capsys, no_runs):
     cfg = tmp_path / "net.cfg"
     cfg.write_bytes(b"# caf\xe9\nq = 0.1\n[scenario]\nkind = grid\n")

@@ -74,6 +74,16 @@ def test_fixed_time_split_must_cover_some_phase(cross):
         Simulation(cfg)
 
 
+def test_construction_leaves_topology_tables_uncompiled(monkeypatch):
+    # set-up time stays flat: the tables are compiled by the first step
+    for form in each_level1_form(monkeypatch):
+        cfg = grid_config(q=0.1, horizon=5)
+        sim = Simulation(cfg)
+        assert "tables" not in vars(cfg.topology), form
+        sim.step()
+        assert "tables" in vars(cfg.topology), form
+
+
 # --- stage ordering ----------------------------------------------------------
 
 
@@ -84,10 +94,10 @@ def test_backlog_reflects_post_move_positions(cross):
     sim = Simulation(cfg)
     sim.state.lane_vehicles[1].append(Vehicle(0, 0, 0))
     sim.step()
-    assert sim.occupancy == [0, 1, 0, 0]
+    assert sim.occupancy.tolist() == [0, 1, 0, 0]
     # lane 1 pressure 1 beats lane 0 pressure 0: phase 1 activates this step
     assert list(sim.node_states) == [IntersectionState(1, 0)]
-    assert sim.gamma == [0, 1, 1, 1]
+    assert sim.gamma.tolist() == [0, 1, 1, 1]
 
 
 def test_signals_apply_one_step_later(cross):
@@ -95,12 +105,12 @@ def test_signals_apply_one_step_later(cross):
     # crosses after the controller has flipped the phase
     cfg = SimConfig(cross, q=0.0, p=0.0, strategy="backpressure")
     sim = Simulation(cfg)
-    assert sim.gamma == [1, 0, 1, 1]  # phase 0 active at t=0
+    assert sim.gamma.tolist() == [1, 0, 1, 1]  # phase 0 active at t=0
     sim.state.lane_vehicles[1].append(Vehicle(0, 8, 0))
     sim.step()
     # moved under red: 8 -> 9 is allowed (distance to line lets it advance)
     assert [v.cell for v in sim.state.lane_vehicles[1]] == [9]
-    assert sim.gamma == [0, 1, 1, 1]
+    assert sim.gamma.tolist() == [0, 1, 1, 1]
     sim.step()
     # now green: crosses onto exit lane 3
     assert sim.state.lane_vehicles[1] == []

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from dataclasses import fields, replace
 from typing import Callable
 
@@ -167,12 +168,25 @@ def _alpha_grid(start: float, stop: float, step: float) -> list[float]:
     return out
 
 
-def _progress(row) -> None:
-    print(
-        f"  {row.scenario} q={row.q:g} {row.variant}: "
-        f"mean={row.mean:.1f} std={row.std:.1f} ({row.runs} runs)",
-        file=sys.stderr,
-    )
+def _progress(cells: int) -> Callable[[SweepResult], None]:
+    """A stderr line per finished cell of ``cells``, ending with the time
+    elapsed and an ETA from the mean time per cell so far."""
+    start = time.monotonic()
+    done = 0
+
+    def report(row: SweepResult) -> None:
+        nonlocal done
+        done += 1
+        elapsed = time.monotonic() - start
+        eta = elapsed / done * (cells - done)
+        print(
+            f"  {row.scenario} q={row.q:g} {row.variant}: "
+            f"mean={row.mean:.1f} std={row.std:.1f} ({row.runs} runs) "
+            f"[cell {done}/{cells}, {elapsed:.1f}s elapsed, ETA {eta:.1f}s]",
+            file=sys.stderr,
+        )
+
+    return report
 
 
 def _experiment(
@@ -227,7 +241,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args,
         cfg,
         [f"alpha={a:.3f}" for a in alphas],
-        lambda: sweep_alpha(cfg, alphas, args.runs, args.scenario, args.jobs, _progress),
+        lambda: sweep_alpha(
+            cfg, alphas, args.runs, args.scenario, args.jobs, _progress(len(alphas))
+        ),
         _write_sweep,
     )
 
@@ -240,7 +256,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cfg,
         ["backpressure", f"hca(alpha={cfg.alpha:g})"],
         lambda: compare_strategies(
-            cfg, args.q_list, args.runs, args.scenario, args.jobs, _progress
+            cfg, args.q_list, args.runs, args.scenario, args.jobs,
+            _progress(2 * len(args.q_list)),
         ),
         _write_compare,
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -27,13 +27,13 @@ from .lanes import apply_signal_indications, compute_backlog, compute_occupancy
 from .model import (
     ConfigError,
     Level1Arrays,
-    Level1State,
     Level3State,
     NetworkTopology,
     SimConfig,
     SimulationError,
     check_level1,
     config_digest,
+    replicate,
     validate_topology,
 )
 from .signals import controller_strategy
@@ -65,18 +65,28 @@ class MetricsRecord:
     config_digest: str
 
 
-# Level 1 runs as whole-network arrays from this many lanes on, as per-lane
-# lists below.  An array step pays a fixed cost of some sixty numpy calls,
-# which the per-vehicle loop matches at about 200 vehicles: at q 0.1 the 6x6
-# grid (84 lanes, ~200 vehicles) runs at parity, the 4x4 grid (40 lanes,
-# ~110) at 0.8x and the 10x10 grid (220 lanes, ~520) at 1.6x.
-ARRAY_MIN_LANES = 80
-
-
 class Simulation:
-    """Owns the mutable state of one run and advances it step by step."""
+    """Owns the mutable state of one run and advances it step by step.
+
+    :meth:`batch` builds one simulation of several seeds instead: the runs
+    step together on a network of disjoint copies of the topology, one copy
+    and one :class:`RngStream` per seed.
+    """
 
     def __init__(self, config: SimConfig, check_invariants: bool = False):
+        self._start(config, (config.seed,), check_invariants)
+
+    @classmethod
+    def batch(
+        cls, config: SimConfig, seeds: Sequence[int], check_invariants: bool = False
+    ) -> "Simulation":
+        """The runs of ``config`` at each of ``seeds``, as one simulation whose
+        :meth:`records` equal those of the runs alone."""
+        sim = cls.__new__(cls)
+        sim._start(config, seeds, check_invariants)
+        return sim
+
+    def _start(self, config: SimConfig, seeds: Sequence[int], check_invariants: bool) -> None:
         report = validate_topology(config.topology)
         if report:
             raise ConfigError("invalid topology: " + "; ".join(report))
@@ -87,26 +97,30 @@ class Simulation:
                     raise ConfigError(
                         f"intersection {ii}: fixed_time_split leaves every phase at zero"
                     )
+        replicas = len(seeds)
         self.config = config
-        self.topology = config.topology
+        self.seeds = tuple(seeds)
+        self.topology = replicate(config.topology, replicas)
         self.check_invariants = check_invariants
-        arrays = config.topology.n_lanes >= ARRAY_MIN_LANES
-        self.state = (Level1Arrays if arrays else Level1State).empty(config.topology)
-        self.rng = RngStream(config.seed)
-        self.injector = InjectionProcess(config.topology, config.resolved_intensities())
+        self.state = Level1Arrays.empty(self.topology, replicas)
+        self.rngs = [RngStream(seed) for seed in seeds]
+        self.injector = InjectionProcess(
+            self.topology, config.resolved_intensities() * replicas, replicas
+        )
         self.selector = controller_strategy(config)
-        n_nodes = config.topology.n_intersections
+        n_nodes = self.topology.n_intersections
         self.node_states = Level3State(
             np.zeros(n_nodes, dtype=np.intp), np.zeros(n_nodes, dtype=np.intp)
         )
         # The network starts empty, so every occupancy and backlog is 0; the
         # first step compiles the topology's tables.
-        self.occupancy = np.zeros(config.topology.n_lanes, dtype=np.intp)
-        self.backlog = np.zeros(config.topology.n_lanes)
+        self.occupancy = np.zeros(self.topology.n_lanes, dtype=np.intp)
+        self.backlog = np.zeros(self.topology.n_lanes)
         self.t = 0
-        self.total_stop_delay = 0
-        self.removed_total = 0
-        self.last_stopped = 0
+        # per replica, in seed order
+        self.total_stop_delay = np.zeros(replicas, dtype=np.intp)
+        self.removed_total = np.zeros(replicas, dtype=np.intp)
+        self.last_stopped = np.zeros(replicas, dtype=np.intp)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -115,10 +129,10 @@ class Simulation:
 
     def step(self) -> None:
         cfg = self.config
-        first_new_id = self.injector.next_id
-        self.injector.inject(self.state, self.rng)
+        first_new_id = self.injector.next_id.copy()
+        self.injector.inject(self.state, self.rngs)
         self.removed_total += advance_all(
-            self.state, self.topology, self.gamma, cfg.v_max, cfg.p, self.rng
+            self.state, self.topology, self.gamma, cfg.v_max, cfg.p, self.rngs
         )
 
         self.occupancy = compute_occupancy(self.state)
@@ -133,12 +147,12 @@ class Simulation:
 
     def _verify(self) -> None:
         report = check_level1(self.state, self.topology, self.config.v_max)
-        injected = self.injector.total_injected
-        on_road = self.state.vehicle_count
-        if injected != self.removed_total + on_road:
+        injected, removed = self.injector.next_id, self.removed_total
+        on_road = self.state.per_replica(self.state.data[0])
+        for r in np.flatnonzero(injected != removed + on_road).tolist():
             report.append(
-                f"conservation: injected {injected} != removed {self.removed_total} "
-                f"+ on-road {on_road}"
+                f"seed {self.seeds[r]}: conservation: injected {injected[r]} != removed "
+                f"{removed[r]} + on-road {on_road[r]}"
             )
         for ii, st in enumerate(self.node_states):
             if not 0 <= st.pi < len(self.topology.intersections[ii].phases):
@@ -148,16 +162,25 @@ class Simulation:
         if report:
             raise SimulationError(f"step {self.t}: " + "; ".join(report))
 
+    def records(self) -> list[MetricsRecord]:
+        """End-of-run summary of each replica, in seed order."""
+        digest = config_digest(self.config)
+        on_road = self.state.per_replica(self.state.data[0])
+        return [
+            MetricsRecord(delay, injected, removed, left, self.t, seed, digest)
+            for seed, injected, delay, removed, left in zip(
+                self.seeds,
+                self.injector.next_id.tolist(),
+                self.total_stop_delay.tolist(),
+                self.removed_total.tolist(),
+                on_road.tolist(),
+            )
+        ]
+
     def metrics(self) -> MetricsRecord:
-        return MetricsRecord(
-            total_stop_delay=self.total_stop_delay,
-            vehicles_injected=self.injector.total_injected,
-            vehicles_removed=self.removed_total,
-            vehicles_in_network=self.state.vehicle_count,
-            horizon=self.t,
-            seed=self.config.seed,
-            config_digest=config_digest(self.config),
-        )
+        """End-of-run summary of a simulation of one seed."""
+        (record,) = self.records()
+        return record
 
 
 def _write_trace_row(writer, sim: Simulation) -> None:
@@ -167,7 +190,7 @@ def _write_trace_row(writer, sim: Simulation) -> None:
     row += [str(o) for o in sim.occupancy.tolist()]
     row += [f"{d:.6f}" for d in sim.backlog.tolist()]
     row += [str(g) for g in sim.gamma.tolist()]
-    row.append(str(sim.last_stopped))
+    row.append(str(sim.last_stopped[0]))
     writer.writerow(row)
 
 
@@ -188,3 +211,12 @@ def run(
             if writer is not None:
                 _write_trace_row(writer, sim)
     return sim.metrics()
+
+
+def run_seeds(config: SimConfig, seeds: Sequence[int]) -> list[MetricsRecord]:
+    """``run(replace(config, seed=s))`` for each of ``seeds``, stepped as one
+    :meth:`Simulation.batch`."""
+    sim = Simulation.batch(config, seeds)
+    for _ in range(config.horizon):
+        sim.step()
+    return sim.records()

@@ -16,10 +16,11 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Callable, Sequence, get_type_hints
 
 from . import __version__
-from .engine import MetricsRecord, run
+from .engine import MetricsRecord, run_seeds
 from .model import ConfigError, SimConfig, config_digest
 
 
@@ -111,26 +112,28 @@ def run_many(
     jobs: int = 1,
     on_result: Callable[[MetricsRecord], None] | None = None,
 ) -> list[MetricsRecord]:
-    """Run ``runs`` replications seeded ``base_seed + i`` for i in 0..runs-1,
-    on at most ``min(jobs, runs)`` worker processes."""
+    """Run ``runs`` replications seeded ``base_seed + i`` for i in 0..runs-1.
+
+    The seeds are split into ``min(jobs, runs)`` contiguous batches, each run
+    as one simulation of that many network copies (:func:`run_seeds`), on as
+    many worker processes when there are two or more.  Records come back in
+    seed order and equal those of single runs.
+    """
     if runs < 1:
         raise ValueError(f"runs={runs}: must be >= 1")
     seed0 = config.seed if base_seed is None else base_seed
-    configs = [replace(config, seed=seed0 + i) for i in range(runs)]
     workers = min(jobs, runs)
+    cuts = [seed0 + runs * k // workers for k in range(workers + 1)]
+    batches = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
         # the pool forks all of its workers at the first submit
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, configs, chunksize=1))
-        if on_result is not None:
-            for rec in records:
-                on_result(rec)
-        return records
-    records = []
-    for cfg in configs:
-        rec = run(cfg)
-        records.append(rec)
-        if on_result is not None:
+            done = list(pool.map(partial(run_seeds, config), batches, chunksize=1))
+    else:
+        done = [run_seeds(config, batches[0])]
+    records = [rec for batch in done for rec in batch]
+    if on_result is not None:
+        for rec in records:
             on_result(rec)
     return records
 

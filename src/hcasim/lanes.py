@@ -6,14 +6,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Level1Arrays, Level1State, NetworkTopology
+from .model import Level1Arrays, NetworkTopology
 
 
-def compute_occupancy(state: Level1State | Level1Arrays) -> np.ndarray:
+def compute_occupancy(state: Level1Arrays) -> np.ndarray:
     """Vehicles currently on each lane, as an int array."""
-    if type(state) is Level1Arrays:
-        return np.bincount(state.data[0], minlength=state.lane_lengths.size)
-    return np.fromiter(map(len, state.lane_vehicles), np.intp, len(state.lane_vehicles))
+    return np.bincount(state.data[0], minlength=state.lane_lengths.size)
 
 
 def compute_backlog(occupancy: Sequence[int], topology: NetworkTopology) -> np.ndarray:
@@ -39,10 +37,20 @@ def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -
 
     One lookup in the ``[lane, phase]`` green table of
     :attr:`NetworkTopology.tables`; a lane that leaves the network has no
-    signal and reads green under every phase.
+    signal and reads green under every phase.  A phase a node does not have
+    raises :class:`ValueError` naming the node.
     """
     tables = topology.tables
+    pi = np.asarray(phases, dtype=np.intp)
+    # a negative phase reads as a huge unsigned one
+    bad = pi.view(np.uintp) >= tables.phase_count
+    if np.count_nonzero(bad):
+        node = int(bad.argmax())
+        raise ValueError(
+            f"intersection {node}: phase {pi[node]} out of range "
+            f"(it has {tables.phase_count[node]})"
+        )
     # clipped, an exit lane's node -1 reads node 0's phase: its whole row is
     # green; without intersections every lane is an exit lane
-    active = np.take(phases, tables.signal_node, mode="clip") if len(phases) else 0
+    active = pi.take(tables.signal_node, mode="clip") if pi.size else 0
     return tables.signal_green.take(tables.signal_row + active)

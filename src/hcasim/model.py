@@ -3,7 +3,7 @@
 Level 1 tracks individual vehicles on lane cells, level 2 tracks per-lane
 (occupancy, backlog, signal) triples, level 3 tracks per-intersection phase
 state.  Topology objects are immutable after construction; the mutable
-simulation state lives in :class:`Level1State`, :class:`Level3State` and
+simulation state lives in :class:`Level1Arrays`, :class:`Level3State` and
 small per-step arrays owned by the engine.
 
 Geometry conventions:
@@ -94,11 +94,12 @@ class TopologyTables(NamedTuple):
     lane_length: np.ndarray   # [lanes]
     exit_cum: np.ndarray      # [max exits, lanes]: running weight sum in exit order; padding: inf
     exit_last: np.ndarray     # [lanes]: index of the last exit, -1 on a network-exit lane
-    key_stride: int           # the longest lane: lane * key_stride + cell orders the arrays
+    key_stride: int           # the longest lane: lane * key_stride - cell orders the arrays
     entry_key: np.ndarray     # [entries]: that key of each entry cell
     signal_node: np.ndarray   # [lanes]: the downstream node, -1 on a network-exit lane
     signal_row: np.ndarray    # [lanes]: lane * max phases, a lane's row of signal_green
     signal_green: np.ndarray  # [lanes * max phases]: flat [lane, phase] signal bit
+    phase_count: np.ndarray   # [nodes]: how many phases each node has
 
 
 def _compile_tables(
@@ -141,7 +142,7 @@ def _compile_tables(
     real_exit = np.arange(width)[:, None] <= exit_last
     exit_cum = np.where(real_exit, exit_weights.cumsum(axis=0), np.inf)
     stride = int(lane_length.max(initial=1))
-    entry_key = np.array([li * stride + c for li, c in entry_points], dtype=np.intp)
+    entry_key = np.array([li * stride - c for li, c in entry_points], dtype=np.intp)
     # a lane is green under each phase of its downstream node that lists it,
     # a network-exit lane (node -1) under every phase
     downstream = [lane.downstream for lane in lanes]
@@ -153,6 +154,7 @@ def _compile_tables(
         exit_targets, exit_weights, phase_lanes, phase_base, coordination,
         lane_length, exit_cum, exit_last, stride, entry_key,
         signal_node, n_phases * np.arange(len(lanes)), green.ravel(),
+        np.array([len(node.phases) for node in nodes], dtype=np.uintp),
     )
 
 
@@ -188,68 +190,74 @@ class NetworkTopology:
         return _compile_tables(self.lanes, self.intersections, self.entry_points)
 
 
-@dataclass(slots=True)
-class Vehicle:
-    """One vehicle record; the lane list holding it is its lane, and it leaves
-    the network past the end of an exit lane."""
+def replicate(topology: NetworkTopology, copies: int) -> NetworkTopology:
+    """``copies`` disjoint copies of ``topology`` as one network.
 
-    id: int
-    cell: int
-    speed: int
-
-
-class Level1State:
-    """Vehicle-level state: one position-sorted vehicle list per lane.
-
-    Lists are kept sorted by cell in ascending order; the last element of a
-    list is the lane's front vehicle.
+    Copy ``r``'s lane, node and entry ids are the original ids plus ``r``
+    times the topology's lane, node and entry counts; one copy is the
+    topology itself.
     """
-
-    __slots__ = ("lane_vehicles", "lane_lengths")
-
-    def __init__(self, lane_lengths: list[int]):
-        self.lane_lengths = list(lane_lengths)
-        self.lane_vehicles: list[list[Vehicle]] = [[] for _ in lane_lengths]
-
-    @classmethod
-    def empty(cls, topology: NetworkTopology) -> "Level1State":
-        return cls([lane.length for lane in topology.lanes])
-
-    def vehicles(self) -> Iterator[Vehicle]:
-        """All vehicle records, in (lane, ascending cell) order."""
-        for lst in self.lane_vehicles:
-            yield from lst
-
-    @property
-    def vehicle_count(self) -> int:
-        return sum(map(len, self.lane_vehicles))
+    if copies == 1:
+        return topology
+    lanes: list[LaneDescriptor] = []
+    nodes: list[IntersectionDescriptor] = []
+    entries: list[tuple[int, int]] = []
+    for r in range(copies):
+        dl, dn = r * topology.n_lanes, r * topology.n_intersections
+        lanes += [
+            LaneDescriptor(
+                lane.length,
+                None if lane.upstream is None else lane.upstream + dn,
+                None if lane.downstream is None else lane.downstream + dn,
+                tuple((target + dl, w) for target, w in lane.exits),
+            )
+            for lane in topology.lanes
+        ]
+        nodes += [
+            IntersectionDescriptor(
+                tuple(li + dl for li in node.inbound_lanes),
+                tuple(tuple(li + dl for li in phase) for phase in node.phases),
+                tuple((nbr + dn, travel) for nbr, travel in node.neighbors),
+                frozenset((nbr + dn, a, b) for nbr, a, b in node.compatibility),
+            )
+            for node in topology.intersections
+        ]
+        entries += [(li + dl, cell) for li, cell in topology.entry_points]
+    return NetworkTopology(tuple(lanes), tuple(nodes), tuple(entries))
 
 
 class Level1Arrays:
-    """Vehicle-level state as whole-network arrays, the form large networks use.
+    """Vehicle-level state as whole-network arrays.
 
     ``data`` holds one column per vehicle with rows lane, cell, speed and id,
-    sorted by lane and then by cell, so a lane's vehicles are one contiguous
-    segment whose last column is the lane's front vehicle.
+    sorted by lane and then by descending cell, so a lane's vehicles are one
+    contiguous segment whose first column is the lane's front vehicle, and
+    the columns run in the order the vehicles take their dawdle draws.  The
+    network may be ``replicas`` disjoint copies of one topology (see
+    :func:`replicate`): copy ``r`` owns the ``r``-th of as many equal blocks
+    of lane ids, and vehicle ids count up from 0 in each copy.
     """
 
-    __slots__ = ("data", "lane_lengths")
+    __slots__ = ("data", "lane_lengths", "replicas")
 
-    def __init__(self, lane_lengths: list[int]):
+    def __init__(self, lane_lengths: list[int], replicas: int = 1):
         self.lane_lengths = np.array(lane_lengths, dtype=np.intp)
+        self.replicas = replicas
         self.data = np.empty((4, 0), dtype=np.intp)
 
     @classmethod
-    def empty(cls, topology: NetworkTopology) -> "Level1Arrays":
-        return cls([lane.length for lane in topology.lanes])
+    def empty(cls, topology: NetworkTopology, replicas: int = 1) -> "Level1Arrays":
+        return cls([lane.length for lane in topology.lanes], replicas)
 
-    @property
-    def lane_vehicles(self) -> tuple[tuple[Vehicle, ...], ...]:
-        """Per-lane copies of the vehicle records, laid out as in :class:`Level1State`."""
-        lanes: list[list[Vehicle]] = [[] for _ in self.lane_lengths]
-        for li, cell, speed, vid in self.data.T.tolist():
-            lanes[li].append(Vehicle(vid, cell, speed))
-        return tuple(map(tuple, lanes))
+    def replica_of(self, lanes: np.ndarray) -> np.ndarray:
+        """The copy each of ``lanes`` belongs to."""
+        return lanes // (self.lane_lengths.size // self.replicas)
+
+    def per_replica(self, lanes: np.ndarray) -> np.ndarray:
+        """How many of ``lanes`` belong to each copy."""
+        if self.replicas == 1:
+            return np.array([lanes.size])
+        return np.bincount(self.replica_of(lanes), minlength=self.replicas)
 
     @property
     def vehicle_count(self) -> int:
@@ -512,31 +520,8 @@ def validate_topology(topology: NetworkTopology) -> list[str]:
     return report
 
 
-def check_level1(
-    state: Level1State | Level1Arrays, topology: NetworkTopology, v_max: int
-) -> list[str]:
+def check_level1(state: Level1Arrays, topology: NetworkTopology, v_max: int) -> list[str]:
     """Check vehicle-level invariants (collision freedom, bounds, sortedness)."""
-    if type(state) is Level1Arrays:
-        return _check_arrays(state, topology, v_max)
-    report: list[str] = []
-    for li, lst in enumerate(state.lane_vehicles):
-        length = topology.lanes[li].length
-        prev = -1
-        for veh in lst:
-            if not 0 <= veh.cell < length:
-                report.append(f"lane {li}: vehicle {veh.id} at cell {veh.cell} off-lane")
-            if veh.cell <= prev:
-                report.append(
-                    f"lane {li}: cell {veh.cell} not strictly after {prev} "
-                    f"(collision or unsorted)"
-                )
-            if not 0 <= veh.speed <= v_max:
-                report.append(f"lane {li}: vehicle {veh.id} speed {veh.speed} out of range")
-            prev = veh.cell
-    return report
-
-
-def _check_arrays(state: Level1Arrays, topology: NetworkTopology, v_max: int) -> list[str]:
     lane, cell, speed, vid = state.data
     problems = [
         ((cell < 0) | (cell >= topology.tables.lane_length[lane]), "at cell {c} off-lane"),
@@ -547,10 +532,10 @@ def _check_arrays(state: Level1Arrays, topology: NetworkTopology, v_max: int) ->
         for bad, text in problems
         for i in np.flatnonzero(bad).tolist()
     ]
-    unsorted = (lane[1:] < lane[:-1]) | (lane[1:] == lane[:-1]) & (cell[1:] <= cell[:-1])
+    unsorted = (lane[1:] < lane[:-1]) | (lane[1:] == lane[:-1]) & (cell[1:] >= cell[:-1])
     for i in np.flatnonzero(unsorted).tolist():
         report.append(
-            f"lane {lane[i + 1]}: cell {cell[i + 1]} not strictly after lane {lane[i]} "
+            f"lane {lane[i + 1]}: cell {cell[i + 1]} not strictly behind lane {lane[i]} "
             f"cell {cell[i]} (collision or unsorted)"
         )
     return report

@@ -19,13 +19,11 @@ independent reimplementation that wants draw-for-draw agreement):
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import Level1Arrays, Level1State, NetworkTopology, SimulationError, Vehicle
+from .model import Level1Arrays, NetworkTopology, SimulationError
 
 
 class RngStream:
@@ -77,182 +75,84 @@ def pick_exit(exits: Sequence[tuple[int, float]], u: float) -> int:
     return exits[-1][0]
 
 
-_cell_of = attrgetter("cell")
-_NO_DRAWS: list[float] = []
+def _uniforms(rngs: Sequence[RngStream], stream: str, sizes: Sequence[int]) -> np.ndarray:
+    """``sizes[r]`` uniforms from substream ``stream`` of ``rngs[r]``, in replica order."""
+    if len(rngs) == 1:
+        return getattr(rngs[0], stream).random(sizes[0])
+    return np.concatenate([getattr(r, stream).random(k) for r, k in zip(rngs, sizes)])
 
 
 def advance_all(
-    state: Level1State | Level1Arrays,
+    state: Level1Arrays,
     topology: NetworkTopology,
-    gamma: Sequence[int],
+    gamma: np.ndarray,
     v_max: int,
     p: float,
-    rng: RngStream,
-) -> int:
-    """Advance every vehicle one step; returns how many left the network.
+    rngs: Sequence[RngStream],
+) -> np.ndarray:
+    """Advance every vehicle one step; returns how many left the network in
+    each of the state's replicas, whose random streams ``rngs`` holds.
 
     Mutates ``state`` in place.  A vehicle that commits to crossing draws its
     exit before braking (the successor determines the gap); if dawdling then
     keeps it short of the stop line, the draw stays consumed.  When vehicles
     from several lanes land on the same successor cell in one step, the lane
     with the lower id wins and later claimants fall back to the next free
-    cell behind, or wait in place when none is left.  Both state forms take
-    the same draws and reach the same state; ``gamma`` is an int array for
-    :class:`Level1Arrays`.
+    cell behind, or wait in place when none is left.  Each replica takes one
+    call per stream, in replica order, so it draws what it would alone.
+    ``gamma`` holds each lane's signal bit as :func:`lanes.apply_signal_indications`
+    gives it, green on a network-exit lane.
     """
-    if type(state) is Level1Arrays:
-        return _advance_arrays(state, topology, gamma, v_max, p, rng)
-    gamma = np.asarray(gamma).tolist()  # plain ints index faster than array items
-    lanes = topology.lanes
-    old_lists = state.lane_vehicles
-    lengths = state.lane_lengths
-    first_occ = [
-        lst[0].cell if lst else lengths[li] for li, lst in enumerate(old_lists)
-    ]
-    total = sum(map(len, old_lists))
-    draws = rng.dawdle.random(total).tolist() if total else _NO_DRAWS
-    di = 0
-    new_lists: list[list[Vehicle]] = [[] for _ in lanes]
-    entrants: dict[int, list[Vehicle]] = {}
-    claimed: dict[int, set[int]] = {}
-    removed = 0
-
-    for li, lst in enumerate(old_lists):
-        if not lst:
-            continue
-        desc = lanes[li]
-        length = desc.length
-        off_network = desc.downstream is None
-        green = gamma[li]
-        stayers = new_lists[li]
-        ahead = -1  # pre-step cell of the vehicle in front, -1 when leading
-        for veh in reversed(lst):
-            k = veh.cell
-            v = veh.speed + 1
-            if v > v_max:
-                v = v_max
-            target = -1
-            if ahead >= 0:
-                cap = ahead - k - 1
-                if v > cap:
-                    v = cap
-            elif off_network:
-                pass  # open road beyond the last cell
-            elif green:
-                if k + v >= length:
-                    exits = desc.exits
-                    if len(exits) == 1:
-                        target = exits[0][0]
-                    else:
-                        target = pick_exit(exits, rng.turn.random())
-                    cap = length - k + first_occ[target] - 1
-                    if v > cap:
-                        v = cap
-            else:
-                cap = length - k - 1
-                if v > cap:
-                    v = cap
-            if draws[di] < p and v > 0:
-                v -= 1
-            di += 1
-            nk = k + v
-            if nk < length:
-                veh.cell = nk
-                veh.speed = v
-                stayers.append(veh)
-            elif off_network:
-                removed += 1
-            else:
-                if target < 0:
-                    raise SimulationError(
-                        f"vehicle {veh.id} ran off lane {li} without a committed exit"
-                    )
-                c = nk - length
-                taken = claimed.get(target)
-                if taken is None:
-                    taken = claimed[target] = set()
-                while c >= 0 and c in taken:
-                    c -= 1
-                if c < 0:
-                    veh.speed = 0  # squeezed out by earlier entrants: wait in place
-                    stayers.append(veh)
-                else:
-                    taken.add(c)
-                    veh.cell = c
-                    veh.speed = length - k + c
-                    entrants.setdefault(target, []).append(veh)
-            ahead = k
-        stayers.reverse()
-
-    for li, arriving in entrants.items():
-        if len(arriving) > 1:
-            arriving.sort(key=_cell_of)
-        new_lists[li] = arriving + new_lists[li]
-
-    state.lane_vehicles = new_lists
-    return removed
-
-
-def _advance_arrays(
-    state: Level1Arrays,
-    topology: NetworkTopology,
-    gamma: np.ndarray,
-    v_max: int,
-    p: float,
-    rng: RngStream,
-) -> int:
     data = state.data
     lane, cell, speed = data[0], data[1], data[2]
     n = lane.size
     if not n:
-        return 0
+        return np.zeros(state.replicas, dtype=np.intp)
     t = topology.tables
-    n_lanes = t.lane_length.size
-    counts = np.bincount(lane, minlength=n_lanes)
-    occupied = counts > 0
-    ends = counts.cumsum()
-    starts = ends - counts
     v = np.minimum(speed + 1, v_max)
-    # a follower brakes against its leader's old cell: the next column
+    # a follower brakes against its leader's old cell: the previous column
     cap = np.empty(n, dtype=np.intp)
-    np.subtract(cell[1:], cell[:-1] + 1, out=cap[:-1])
-    front = ends[occupied] - 1
+    np.subtract(cell[:-1], cell[1:] + 1, out=cap[1:])
+    leads = np.empty(n, dtype=bool)
+    leads[0] = True
+    np.not_equal(lane[1:], lane[:-1], out=leads[1:])
+    front = leads.nonzero()[0]
     fl, fk = lane.take(front), cell.take(front)
     flen = t.lane_length.take(fl)
-    if (fk >= flen).any():
+    if np.count_nonzero(fk >= flen):
         raise SimulationError(f"a vehicle sits past the end of lane {fl[fk >= flen][0]}")
     green = gamma.take(fl) != 0  # a network-exit lane always reads green
-    signalled = t.exit_last.take(fl) >= 0  # not a network-exit lane
+    last = t.exit_last.take(fl)  # -1 on a network-exit lane
     fcap = np.where(green, v_max, flen - fk - 1)
-    commit = np.flatnonzero(green & signalled & (fk + v.take(front) >= flen))
+    commit = (green & (last >= 0) & (fk + v.take(front) >= flen)).nonzero()[0]
     if commit.size:
         cl = fl.take(commit)
-        pick = t.exit_last.take(cl)
-        multi = np.flatnonzero(pick)
+        pick = last.take(commit)
+        multi = pick.nonzero()[0]
         if multi.size:
-            u = rng.turn.random(multi.size)
+            u = _uniforms(rngs, "turn", state.per_replica(cl.take(multi)))
             # pick_exit: the first exit whose running weight sum exceeds u, else the last
             hits = (u >= t.exit_cum.take(cl.take(multi), axis=1)).sum(axis=0)
             pick[multi] = np.minimum(hits, pick.take(multi))
-        target = t.exit_targets.take(pick * n_lanes + cl)
-        head = np.where(occupied, cell.take(np.minimum(starts, n - 1)), t.lane_length)
-        fcap[commit] = flen.take(commit) - fk.take(commit) + head.take(target) - 1
+        target = t.exit_targets.take(pick * t.lane_length.size + cl)
+        # the rear vehicle of a lane is its last column
+        rear = lane.searchsorted(target, "right") - 1
+        head = np.where(lane.take(rear) == target, cell.take(rear), t.lane_length.take(target))
+        fcap[commit] = flen.take(commit) - fk.take(commit) + head - 1
     cap[front] = fcap
     np.minimum(v, cap, out=v)
-    # dawdle draws run lane by lane from the front: element i of lane
-    # segment [s, e] takes draw s + e - i
-    draws = rng.dawdle.random(n).take((starts + ends - 1).take(lane) - np.arange(n))
-    v -= draws < p
+    # the columns run in draw order: lane by lane, front first
+    v -= _uniforms(rngs, "dawdle", state.per_replica(lane)) < p
     np.maximum(v, 0, out=v)
     cell += v
     speed[:] = v
 
     past = cell.take(front) >= flen
-    if not past.any():
-        return 0
-    gone = past & ~signalled
+    if not np.count_nonzero(past):
+        return np.zeros(state.replicas, dtype=np.intp)
+    gone = front[past & (last < 0)]
     if commit.size:
-        crossed = np.flatnonzero(past.take(commit))
+        crossed = past.take(commit).nonzero()[0]
         at = commit.take(crossed)
         idx, old, lengths = front.take(at), fk.take(at), flen.take(at)
         goal = target.take(crossed)
@@ -270,38 +170,32 @@ def _advance_arrays(
             wait = land < 0  # squeezed out: waits in place at speed 0
             land[wait], goal[wait], lengths[wait] = old[wait], lane.take(idx[wait]), 0
         lane[idx], cell[idx], speed[idx] = goal, land, lengths - old + land
-    removed = int(np.count_nonzero(gone))
-    lane[front[gone]] = n_lanes  # sorts past every lane, then is cut off
-    # crossers now sit ahead of their new lane's stayers; a stable sort of
-    # the nearly sorted keys regroups them
-    order = np.argsort(lane * t.key_stride + cell, kind="stable")
-    state.data = data.take(order[: n - removed], axis=1)
+    removed = state.per_replica(lane.take(gone))
+    # a removed vehicle sorts past every lane and is cut off; a crosser keeps
+    # its old column until a stable sort of the nearly sorted keys moves it
+    # behind its new lane's stayers
+    lane[gone], cell[gone] = t.lane_length.size, 0
+    order = np.argsort(lane * t.key_stride - cell, kind="stable")
+    state.data = data.take(order[: n - gone.size], axis=1)
     return removed
 
 
 def count_stopped(
-    state: Level1State | Level1Arrays,
+    state: Level1Arrays,
     window: int | None = None,
-    first_new_id: float = math.inf,
-) -> int:
-    """Vehicles standing still, optionally only within the last ``window``
-    cells of each lane, skipping ids from ``first_new_id`` on (ids are dense,
-    so those are the vehicles placed this step)."""
-    if type(state) is Level1Arrays:
-        lane, cell, speed, vid = state.data
-        stopped = (speed == 0) & (vid < first_new_id)
-        if window is not None:
-            stopped &= cell >= (state.lane_lengths - window)[lane]
-        return int(np.count_nonzero(stopped))
-    lengths = state.lane_lengths
-    # Without a window every cell counts: a cutoff of 0 admits them all.
-    cutoff = [0] * len(lengths) if window is None else [n - window for n in lengths]
-    return sum(
-        1
-        for li, lst in enumerate(state.lane_vehicles)
-        for v in lst
-        if v.speed == 0 and v.cell >= cutoff[li] and v.id < first_new_id
-    )
+    first_new_id: float | np.ndarray = math.inf,
+) -> np.ndarray:
+    """Vehicles standing still in each replica, optionally only within the
+    last ``window`` cells of each lane, skipping ids from the replica's
+    ``first_new_id`` on (ids are dense, so those are the vehicles placed this
+    step); one ``first_new_id`` serves a state of one replica."""
+    lane, cell, speed, vid = state.data
+    if state.replicas > 1:
+        first_new_id = np.take(first_new_id, state.replica_of(lane))
+    stopped = (speed == 0) & (vid < first_new_id)
+    if window is not None:
+        stopped &= cell >= (state.lane_lengths - window).take(lane)
+    return state.per_replica(lane[stopped])
 
 
 class InjectionProcess:
@@ -314,72 +208,60 @@ class InjectionProcess:
     are placed at speed 0 and take part in the same step's movement.
     """
 
-    def __init__(self, topology: NetworkTopology, intensities: Sequence[float]):
+    def __init__(
+        self, topology: NetworkTopology, intensities: Sequence[float], replicas: int = 1
+    ):
         if len(intensities) != len(topology.entry_points):
             raise ValueError(
                 f"{len(intensities)} intensities for "
                 f"{len(topology.entry_points)} entry points"
             )
         self.topology = topology
-        self.entries = topology.entry_points
-        self.intensities = tuple(intensities)
-        self.pending = [0] * len(self.entries)
-        self.next_id = 0
+        self.intensities = np.array(intensities, dtype=float)
+        self.pending = np.zeros(len(intensities), dtype=np.intp)
+        # replica r's entries are the r-th of ``replicas`` equal blocks
+        self.entries_per_replica = len(intensities) // replicas
+        self.next_id = np.zeros(replicas, dtype=np.intp)
 
     @property
     def total_injected(self) -> int:
-        """Vehicles actually placed so far (ids are assigned densely)."""
-        return self.next_id
+        """Vehicles actually placed so far (ids are assigned densely per replica)."""
+        return int(self.next_id.sum())
 
     @property
     def total_pending(self) -> int:
         """Arrivals drawn but still waiting for a free entry cell."""
-        return sum(self.pending)
+        return int(self.pending.sum())
 
-    def _arrivals(self, rng: RngStream) -> Iterator[int]:
-        """Draw this step's arrivals; yield each entry with one pending, in entry order."""
-        draws = rng.injection.random(len(self.entries)).tolist()
-        for ei, rate in enumerate(self.intensities):
-            if draws[ei] < rate:
-                self.pending[ei] += 1
-            if self.pending[ei]:
-                yield ei
-
-    def inject(self, state: Level1State | Level1Arrays, rng: RngStream) -> None:
-        """Draw this step's arrivals and place what fits."""
-        if type(state) is Level1Arrays:
-            return self._inject_arrays(state, list(self._arrivals(rng)))
-        for ei in self._arrivals(rng):
-            lane_id, cell = self.entries[ei]
-            lst = state.lane_vehicles[lane_id]
-            pos = bisect_left(lst, cell, key=_cell_of)
-            if pos < len(lst) and lst[pos].cell == cell:
-                continue  # entry cell occupied: the arrival keeps waiting
-            lst.insert(pos, Vehicle(self.next_id, cell, 0))
-            self.next_id += 1
-            self.pending[ei] -= 1
-
-    def _inject_arrays(self, state: Level1Arrays, waiting: list[int]) -> None:
-        if not waiting:
+    def inject(self, state: Level1Arrays, rngs: Sequence[RngStream]) -> None:
+        """Draw this step's arrivals and place what fits; ``rngs`` holds one
+        stream per replica."""
+        draws = _uniforms(rngs, "injection", [self.entries_per_replica] * len(rngs))
+        self.pending += draws < self.intensities
+        waiting = self.pending.nonzero()[0]
+        if not waiting.size:
             return
         t = self.topology.tables
         data = state.data
-        key = data[0] * t.key_stride + data[1]
-        want = t.entry_key[waiting]
+        key = data[0] * t.key_stride - data[1]
+        want = t.entry_key.take(waiting)
         pos = np.searchsorted(key, want)
         free = np.searchsorted(key, want, "right") == pos  # entry cell empty
-        placing: dict[int, tuple[int, int]] = {}  # cell key -> (insert position, id)
-        for ei, cell_key, at, empty in zip(waiting, want.tolist(), pos.tolist(), free.tolist()):
+        placing: dict[int, tuple[int, int, int]] = {}  # key -> (insert position, id, entry)
+        for ei, cell_key, at, empty in zip(
+            waiting.tolist(), want.tolist(), pos.tolist(), free.tolist()
+        ):
             if empty and cell_key not in placing:  # of entries sharing a cell, the first places
-                placing[cell_key] = (at, self.next_id)
-                self.next_id += 1
+                r = ei // self.entries_per_replica
+                placing[cell_key] = (at, int(self.next_id[r]), ei)
+                self.next_id[r] += 1
                 self.pending[ei] -= 1
         if not placing:
             return
-        # in cell-key order, so entries sharing an insert position go in cell order
+        # in key order, so entries sharing an insert position keep the columns' order
         parts, prev = [], 0
-        for cell_key, (at, vid) in sorted(placing.items()):
-            lane, cell = divmod(cell_key, t.key_stride)
+        for _, (at, vid, ei) in sorted(placing.items()):
+            lane, cell = self.topology.entry_points[ei]
             parts += [data[:, prev:at], [[lane], [cell], [0], [vid]]]
             prev = at
         parts.append(data[:, prev:])

@@ -10,10 +10,11 @@ from hcasim import (
     IntersectionDescriptor,
     LaneDescriptor,
     NetworkTopology,
+    SimConfig,
+    Simulation,
     derive_compatibility,
 )
-import hcasim.engine
-from hcasim.model import Level1Arrays, Level1State, Vehicle
+from hcasim.model import Level1Arrays
 
 
 def cross_topology(length: int = 10, v_max: int = 2) -> NetworkTopology:
@@ -98,35 +99,42 @@ def mixed_phase_topology(v_max: int = 2) -> NetworkTopology:
     return derive_compatibility(NetworkTopology(lanes, nodes, entries), v_max)
 
 
-def state_with(topology: NetworkTopology, *vehicles) -> Level1State:
-    """Level-1 state holding the given (lane, cell, speed) vehicles."""
-    state = Level1State.empty(topology)
-    for vid, (lane, cell, speed) in enumerate(vehicles):
-        state.lane_vehicles[lane].append(Vehicle(vid, cell, speed))
-    for lst in state.lane_vehicles:
-        lst.sort(key=lambda v: v.cell)
+def state_with(topology: NetworkTopology, *vehicles) -> Level1Arrays:
+    """Level-1 state holding the given (lane, cell, speed) vehicles, numbered
+    0, 1, ... in argument order."""
+    state = Level1Arrays.empty(topology)
+    columns = sorted(
+        ((lane, cell, speed, vid) for vid, (lane, cell, speed) in enumerate(vehicles)),
+        key=lambda col: (col[0], -col[1]),
+    )
+    state.data = np.array(columns, dtype=np.intp).reshape(-1, 4).T.copy()
     return state
 
 
-def arrays_of(state: Level1State) -> Level1Arrays:
-    """The same vehicles as a :class:`Level1Arrays` state."""
-    arrays = Level1Arrays(state.lane_lengths)
-    columns = [
-        (li, v.cell, v.speed, v.id) for li, lst in enumerate(state.lane_vehicles) for v in lst
-    ]
-    arrays.data = np.array(columns, dtype=np.intp).reshape(-1, 4).T.copy()
-    return arrays
+def lanes_of(state: Level1Arrays, replica: int = 0) -> list[list[tuple[int, int, int]]]:
+    """Per lane of one replica, its vehicles' (cell, speed, id), rear first."""
+    n_lanes = state.lane_lengths.size // state.replicas
+    lanes: list[list[tuple[int, int, int]]] = [[] for _ in range(n_lanes)]
+    for li, cell, speed, vid in state.data.T.tolist():
+        if li // n_lanes == replica:
+            lanes[li % n_lanes].append((cell, speed, vid))
+    return [sorted(lane) for lane in lanes]
 
 
-# the size limit that puts every network on each level-1 form
-LEVEL1_FORMS = {"lists": sys.maxsize, "arrays": 0}
+def each_level1_form(config: SimConfig, check_invariants: bool = False):
+    """Yield ``(form, sim, replica)``: ``config`` run alone, then as replica 1
+    of a batch of three seeds; ``sim.step()`` advances it."""
+    yield "alone", Simulation(config, check_invariants), 0
+    seeds = (config.seed + 1, config.seed, config.seed + 2)
+    yield "replica 1 of 3", Simulation.batch(config, seeds, check_invariants), 1
 
 
-def each_level1_form(monkeypatch):
-    """Yield each level-1 form's name while every new Simulation takes it."""
-    for form, limit in LEVEL1_FORMS.items():
-        monkeypatch.setattr(hcasim.engine, "ARRAY_MIN_LANES", limit)
-        yield form
+def replica_view(sim: Simulation, replica: int):
+    """``(pi, occupancy, backlog, gamma)`` of one replica of ``sim``."""
+    nodes, lanes = sim.config.topology.n_intersections, sim.config.topology.n_lanes
+    pi = sim.node_states.pi[replica * nodes : (replica + 1) * nodes]
+    own = slice(replica * lanes, (replica + 1) * lanes)
+    return pi, sim.occupancy[own], sim.backlog[own], sim.gamma[own]
 
 
 @pytest.fixture

@@ -6,8 +6,10 @@ adaptive selector and counts phase switches by zipping ``select``'s
 workload rebinds ``run_many`` with a wrapper of a fixed signature; the
 benchmark's modules import a few package names directly.  A rename, a signature change or a selector that rewrote its input would
 break ``perfbench/run.py --trace 1`` without any test of the package
-noticing.  The tracer module is only loaded here,
-never instrumented, because instrumenting rebinds hcasim globally.
+noticing.  The compare workload also expects one ``run_many`` call per
+cell, returning that cell's records in seed order.  The tracer module is
+only loaded here, never instrumented, because instrumenting rebinds hcasim
+globally.
 
 The package's exports are checked here too, against the README's list.
 """
@@ -27,7 +29,7 @@ import hcasim.cli
 import hcasim.engine
 import hcasim.experiments
 import hcasim.signals
-from hcasim import Simulation, grid_config, run_many
+from hcasim import Simulation, compare_strategies, grid_config, run_many, sweep_alpha
 from hcasim.model import IntersectionState
 from hcasim.signals import AdaptiveSelector, FixedTimeSelector, controller_strategy
 
@@ -84,9 +86,8 @@ def test_advance_all_gets_the_state_first(monkeypatch):
         return advance_all(*args, **kwargs)
 
     monkeypatch.setattr(hcasim.engine, "advance_all", recording)
-    for _ in each_level1_form(monkeypatch):
+    for _, sim, _ in each_level1_form(grid_config(q=0.5, horizon=5, seed=1)):
         seen.clear()
-        sim = Simulation(grid_config(q=0.5, horizon=5, seed=1))
         for _ in range(5):
             on_road, injected = sim.state.vehicle_count, sim.injector.total_injected
             sim.step()
@@ -98,6 +99,32 @@ def test_advance_all_gets_the_state_first(monkeypatch):
 def test_run_many_positional_signature():
     params = list(inspect.signature(run_many).parameters)
     assert params == ["config", "runs", "base_seed", "jobs", "on_result"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_run_many_call_per_cell_with_records_in_seed_order(monkeypatch, jobs):
+    # child.py's Capture keeps each cell's records from its run_many call
+    calls = []
+    run_many = hcasim.experiments.run_many
+
+    def recording(config, runs, base_seed=None, jobs=1, on_result=None):
+        records = run_many(config, runs, base_seed, jobs, on_result)
+        calls.append((config.q, config.strategy, config.alpha, [r.seed for r in records]))
+        return records
+
+    monkeypatch.setattr(hcasim.experiments, "run_many", recording)
+    cfg = grid_config(roads_per_direction=2, horizon=20, seed=40)
+    compare_strategies(cfg, [0.1, 0.2], runs=3, scenario="grid", jobs=jobs)
+    sweep_alpha(cfg, [0.0, 0.5], runs=3, scenario="grid", jobs=jobs)
+    seeds = [40, 41, 42]
+    assert calls == [
+        (0.1, "backpressure", 1.0, seeds),
+        (0.1, "hca", 1.0, seeds),
+        (0.2, "backpressure", 1.0, seeds),
+        (0.2, "hca", 1.0, seeds),
+        (0.1, "hca", 0.0, seeds),
+        (0.1, "hca", 0.5, seeds),
+    ]
 
 
 def _stepped_grid() -> Simulation:

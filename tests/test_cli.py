@@ -345,6 +345,7 @@ def test_sweep_writes_csv_and_meta(tmp_path, capsys):
     assert "wrote 3 rows" in captured.out
     # per-row progress goes to stderr, results stay off stdout
     assert captured.err.count("alpha=") == 3
+    assert captured.err.count(" elapsed, ETA ") == 3 and "[cell 3/3, " in captured.err
     rows = list(csv.DictReader(out.open()))
     assert [r["variant"] for r in rows] == ["alpha=0.000", "alpha=0.100", "alpha=0.200"]
     meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())

@@ -8,6 +8,7 @@ import io
 import random
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from hcasim import (
@@ -21,16 +22,18 @@ from hcasim import (
     grid_config,
     run,
 )
-from hcasim.engine import count_stopped, trace_columns
-from hcasim.model import IntersectionState, Level1Arrays, Level1State, Vehicle
+from hcasim.engine import count_stopped, run_seeds, trace_columns
+from hcasim.model import IntersectionState, Level1Arrays, replicate
 from netgen import random_config, random_topology
 from reference import RefSim
 
 from conftest import (
     cross_topology,
     each_level1_form,
+    lanes_of,
     merge_topology,
     mixed_phase_topology,
+    replica_view,
     state_with,
 )
 
@@ -40,21 +43,29 @@ from conftest import (
 
 def test_count_stopped_network_wide(cross):
     state = state_with(cross, (0, 2, 0), (0, 5, 1), (1, 0, 0), (2, 3, 0))
-    assert count_stopped(state) == 3
+    assert count_stopped(state).tolist() == [3]
 
 
 def test_count_stopped_window_restricts_to_lane_tail(cross):
     # lanes are 10 cells; window 3 keeps cells 7..9 only
     state = state_with(cross, (0, 2, 0), (0, 8, 0), (1, 9, 0), (2, 6, 0))
-    assert count_stopped(state, window=3) == 2
+    assert count_stopped(state, window=3).tolist() == [2]
 
 
 def test_count_stopped_skips_ids_placed_this_step(cross):
     # state_with numbers vehicles 0, 1, 2 in argument order
     state = state_with(cross, (0, 2, 0), (0, 5, 0), (1, 4, 0))
-    assert count_stopped(state, first_new_id=1) == 1
-    assert count_stopped(state, first_new_id=3) == 3
-    assert count_stopped(state, first_new_id=0) == 0
+    assert count_stopped(state, first_new_id=1).tolist() == [1]
+    assert count_stopped(state, first_new_id=3).tolist() == [3]
+    assert count_stopped(state, first_new_id=0).tolist() == [0]
+
+
+def test_count_stopped_per_replica_with_its_own_new_ids(cross):
+    # lanes 0-3 are replica 0, lanes 4-7 replica 1; ids count per replica
+    state = Level1Arrays.empty(replicate(cross, 2), replicas=2)
+    state.data = np.array([[0, 4, 5, 6], [2, 2, 4, 9], [0, 0, 0, 1], [0, 0, 1, 2]])
+    assert count_stopped(state, first_new_id=[1, 1]).tolist() == [1, 1]
+    assert count_stopped(state, first_new_id=[0, 2]).tolist() == [0, 2]
 
 
 # --- construction-time validation -------------------------------------------
@@ -74,14 +85,12 @@ def test_fixed_time_split_must_cover_some_phase(cross):
         Simulation(cfg)
 
 
-def test_construction_leaves_topology_tables_uncompiled(monkeypatch):
+def test_construction_leaves_topology_tables_uncompiled():
     # set-up time stays flat: the tables are compiled by the first step
-    for form in each_level1_form(monkeypatch):
-        cfg = grid_config(q=0.1, horizon=5)
-        sim = Simulation(cfg)
-        assert "tables" not in vars(cfg.topology), form
+    for form, sim, _ in each_level1_form(grid_config(q=0.1, horizon=5)):
+        assert "tables" not in vars(sim.topology), form
         sim.step()
-        assert "tables" in vars(cfg.topology), form
+        assert "tables" in vars(sim.topology), form
 
 
 # --- stage ordering ----------------------------------------------------------
@@ -92,7 +101,7 @@ def test_backlog_reflects_post_move_positions(cross):
     # and the signal decision sees the fresh backlog
     cfg = SimConfig(cross, q=0.0, p=0.0, strategy="backpressure")
     sim = Simulation(cfg)
-    sim.state.lane_vehicles[1].append(Vehicle(0, 0, 0))
+    sim.state = state_with(cross, (1, 0, 0))
     sim.step()
     assert sim.occupancy.tolist() == [0, 1, 0, 0]
     # lane 1 pressure 1 beats lane 0 pressure 0: phase 1 activates this step
@@ -106,15 +115,14 @@ def test_signals_apply_one_step_later(cross):
     cfg = SimConfig(cross, q=0.0, p=0.0, strategy="backpressure")
     sim = Simulation(cfg)
     assert sim.gamma.tolist() == [1, 0, 1, 1]  # phase 0 active at t=0
-    sim.state.lane_vehicles[1].append(Vehicle(0, 8, 0))
+    sim.state = state_with(cross, (1, 8, 0))
     sim.step()
     # moved under red: 8 -> 9 is allowed (distance to line lets it advance)
-    assert [v.cell for v in sim.state.lane_vehicles[1]] == [9]
+    assert [cell for cell, _, _ in lanes_of(sim.state)[1]] == [9]
     assert sim.gamma.tolist() == [0, 1, 1, 1]
     sim.step()
     # now green: crosses onto exit lane 3
-    assert sim.state.lane_vehicles[1] == []
-    assert [len(lst) for lst in sim.state.lane_vehicles] == [0, 0, 0, 1]
+    assert [len(lane) for lane in lanes_of(sim.state)] == [0, 0, 0, 1]
 
 
 def test_fresh_injections_do_not_count_as_stopped(cross):
@@ -123,7 +131,7 @@ def test_fresh_injections_do_not_count_as_stopped(cross):
     sim.step()
     # both entries placed a vehicle at speed 0 this step; neither counts yet
     assert sim.state.vehicle_count == 2
-    assert sim.total_stop_delay == 0
+    assert sim.total_stop_delay.tolist() == [0]
 
 
 def test_stop_delay_accumulates_standing_vehicles(cross):
@@ -131,12 +139,12 @@ def test_stop_delay_accumulates_standing_vehicles(cross):
     sim = Simulation(cfg)
     # parked at the stop line of the red lane 1 (phase 0 is active); it
     # entered before this step, so the injector has already issued its id
-    sim.state.lane_vehicles[1].append(Vehicle(0, 9, 0))
-    sim.injector.next_id = 1
+    sim.state = state_with(cross, (1, 9, 0))
+    sim.injector.next_id[0] = 1
     sim.step()
     # the controller flips to phase 1 at the end of the step, but the vehicle
     # spent this step standing under red
-    assert sim.total_stop_delay == 1
+    assert sim.total_stop_delay.tolist() == [1]
 
 
 # --- metrics ------------------------------------------------------------------
@@ -222,69 +230,71 @@ def _ref_kwargs(cfg: SimConfig) -> dict:
     )
 
 
-def _lockstep(cfg: SimConfig, steps: int, monkeypatch) -> None:
-    for form in each_level1_form(monkeypatch):
-        sim = Simulation(cfg, check_invariants=True)
+def _lockstep(cfg: SimConfig, steps: int) -> None:
+    nodes = cfg.topology.n_intersections
+    for form, sim, r in each_level1_form(cfg, check_invariants=True):
         ref = RefSim(cfg.topology, **_ref_kwargs(cfg))
         for t in range(steps):
             sim.step()
             ref.step()
             lanes = ref.lane_snapshot()
-            per_lane = sim.state.lane_vehicles
+            per_lane = lanes_of(sim.state, r)
             for li, lane in enumerate(cfg.topology.lanes):
                 # the reference stores an exit lane's last cell on each vehicle
                 dest = lane.length - 1 if lane.downstream is None else None
-                got = tuple((v.cell, v.id, v.speed, dest) for v in per_lane[li])
+                got = tuple((cell, vid, speed, dest) for cell, speed, vid in per_lane[li])
                 assert got == lanes[li], f"{form}: lane {li} diverged at step {t}"
-            assert [(s.pi, s.tau) for s in sim.node_states] == ref.node_snapshot(), (
+            node_states = list(sim.node_states)[r * nodes : (r + 1) * nodes]
+            assert [(s.pi, s.tau) for s in node_states] == ref.node_snapshot(), (
                 f"{form}: controller diverged at step {t}"
             )
-            assert list(sim.gamma) == list(ref.gamma), f"{form}: signals diverged at step {t}"
-            assert sim.total_stop_delay == ref.total_delay, f"{form}: delay diverged at {t}"
+            gamma = replica_view(sim, r)[3]
+            assert gamma.tolist() == list(ref.gamma), f"{form}: signals diverged at step {t}"
+            assert sim.total_stop_delay[r] == ref.total_delay, f"{form}: delay diverged at {t}"
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47, 61, 89, 97])
-def test_lockstep_with_reference_on_random_networks(seed, monkeypatch):
-    _lockstep(random_config(seed), 200, monkeypatch)
+def test_lockstep_with_reference_on_random_networks(seed):
+    _lockstep(random_config(seed), 200)
 
 
-def test_lockstep_with_reference_on_grid(monkeypatch):
-    _lockstep(grid_config(q=0.1, horizon=200, seed=31), 200, monkeypatch)
+def test_lockstep_with_reference_on_grid():
+    _lockstep(grid_config(q=0.1, horizon=200, seed=31), 200)
 
 
-def test_lockstep_with_reference_on_arterial(monkeypatch):
-    _lockstep(arterial_config(q=0.15, horizon=200, seed=13), 200, monkeypatch)
+def test_lockstep_with_reference_on_arterial():
+    _lockstep(arterial_config(q=0.15, horizon=200, seed=13), 200)
 
 
-def test_lockstep_with_reference_on_merge_network(monkeypatch):
+def test_lockstep_with_reference_on_merge_network():
     # both approaches of phase 0 feed lane 2, so crossings contend for its cells
-    _lockstep(SimConfig(merge_topology(), q=0.5, p=0.1, seed=4, horizon=300), 300, monkeypatch)
+    _lockstep(SimConfig(merge_topology(), q=0.5, p=0.1, seed=4, horizon=300), 300)
 
 
-def test_lockstep_with_reference_with_entries_sharing_a_cell(monkeypatch):
+def test_lockstep_with_reference_with_entries_sharing_a_cell():
     # two entries feed lane 0's first cell; while it is taken both arrivals wait
     topo = replace(cross_topology(), entry_points=((0, 0), (1, 0), (0, 0)))
-    _lockstep(SimConfig(topo, q=0.6, seed=6, horizon=200), 200, monkeypatch)
+    _lockstep(SimConfig(topo, q=0.6, seed=6, horizon=200), 200)
 
 
 @pytest.mark.parametrize("seed", [11, 47, 89, 97])
-def test_lockstep_with_reference_under_min_green_and_stop_window(seed, monkeypatch):
+def test_lockstep_with_reference_under_min_green_and_stop_window(seed):
     # random_config never sets either knob; draw them from a stream of their own
     rng = random.Random(seed)
     cfg = replace(
         random_config(seed), min_green=rng.randint(1, 6), stop_window=rng.randint(1, 8)
     )
-    _lockstep(cfg, 200, monkeypatch)
+    _lockstep(cfg, 200)
 
 
-def test_lockstep_with_reference_on_grid_with_min_green_and_stop_window(monkeypatch):
+def test_lockstep_with_reference_on_grid_with_min_green_and_stop_window():
     cfg = grid_config(q=0.15, horizon=200, seed=19, min_green=4, stop_window=10)
-    _lockstep(cfg, 200, monkeypatch)
+    _lockstep(cfg, 200)
 
 
-def test_lockstep_with_reference_on_arterial_with_min_green_and_stop_window(monkeypatch):
+def test_lockstep_with_reference_on_arterial_with_min_green_and_stop_window():
     cfg = arterial_config(q=0.2, horizon=200, seed=29, min_green=5, stop_window=6)
-    _lockstep(cfg, 200, monkeypatch)
+    _lockstep(cfg, 200)
 
 
 def test_known_run_regression():
@@ -308,10 +318,10 @@ def test_network_without_intersections_runs(strategy, split):
     assert (rec.vehicles_injected, rec.vehicles_removed, rec.vehicles_in_network) == (3, 2, 1)
 
 
-def test_invariant_checking_runs_clean(monkeypatch):
-    cfg = grid_config(q=0.2, horizon=150, seed=8)
-    for _ in each_level1_form(monkeypatch):
-        run(cfg, check_invariants=True)
+def test_invariant_checking_runs_clean():
+    for _, sim, _ in each_level1_form(grid_config(q=0.2, horizon=150, seed=8), True):
+        for _ in range(150):
+            sim.step()
 
 
 # --- pinned behaviour -----------------------------------------------------------
@@ -357,9 +367,8 @@ def test_invariant_checking_runs_clean(monkeypatch):
         "mixed-phases-min-green",
     ],
 )
-def test_pinned_records(make, expect, monkeypatch):
-    for form in each_level1_form(monkeypatch):
-        assert run(make()) == expect, form
+def test_pinned_records(make, expect):
+    _check_records(make(), expect)
 
 
 @pytest.mark.parametrize(
@@ -381,43 +390,51 @@ def test_pinned_records(make, expect, monkeypatch):
     ],
     ids=["grid16-hca", "arterial32-fixed"],
 )
-def test_pinned_records_of_large_networks(make, expect, monkeypatch):
+def test_pinned_records_of_large_networks(make, expect):
     # pinned while level 1 ran as per-lane lists only
-    for form in each_level1_form(monkeypatch):
-        assert run(make()) == expect, form
+    _check_records(make(), expect)
 
 
-def test_level1_form_follows_network_size():
-    assert type(Simulation(grid_config()).state) is Level1State
-    assert type(Simulation(arterial_config()).state) is Level1State
-    assert type(Simulation(grid_config(roads_per_direction=16)).state) is Level1Arrays
-    assert type(Simulation(arterial_config(intersections=32)).state) is Level1Arrays
+def _check_records(cfg: SimConfig, expect: MetricsRecord) -> None:
+    assert run(cfg) == expect
+    seeds = (cfg.seed + 1, cfg.seed, cfg.seed + 2)
+    assert run_seeds(cfg, seeds)[1] == expect
 
 
-def _trace_bytes(cfg: SimConfig, tmp_path, monkeypatch) -> bytes:
-    """The trace of ``cfg``, the same on both level-1 forms."""
-    traces = []
-    for form in each_level1_form(monkeypatch):
-        path = tmp_path / f"{form}.csv"
-        run(cfg, trace=str(path))
-        traces.append(path.read_bytes())
-    assert traces[0] == traces[1]
-    return traces[0]
+def _trace_bytes(cfg: SimConfig, tmp_path) -> bytes:
+    """The trace of ``cfg``, the same when it runs as replica 1 of a batch of 3."""
+    path = tmp_path / "trace.csv"
+    run(cfg, trace=str(path))
+    alone = path.read_bytes()
+    _, sim, r = list(each_level1_form(cfg))[1]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(trace_columns(cfg.topology))
+    for _ in range(cfg.horizon):
+        sim.step()
+        pi, occupancy, backlog, gamma = replica_view(sim, r)
+        writer.writerow(
+            [sim.t, *pi.tolist(), *occupancy.tolist()]
+            + [f"{d:.6f}" for d in backlog.tolist()]
+            + [*gamma.tolist(), sim.last_stopped[r]]
+        )
+    assert out.getvalue().encode() == alone
+    return alone
 
 
-def test_pinned_trace_digest(tmp_path, monkeypatch):
+def test_pinned_trace_digest(tmp_path):
     cfg = grid_config(q=0.15, alpha=1.0, seed=5, horizon=200)
-    data = _trace_bytes(cfg, tmp_path, monkeypatch)
+    data = _trace_bytes(cfg, tmp_path)
     assert len(data) == 113722
     assert hashlib.sha256(data).hexdigest() == (
         "c5f1111b3f7b844d6fe048790fb43b8920da70a17e5a37772dcf07faf971531f"
     )
 
 
-def test_pinned_fixed_time_trace_digest(tmp_path, monkeypatch):
+def test_pinned_fixed_time_trace_digest(tmp_path):
     # pinned before level 3 ran as array kernels
     cfg = arterial_config(strategy="fixed_time", fixed_time_split=(20, 20), horizon=200)
-    data = _trace_bytes(cfg, tmp_path, monkeypatch)
+    data = _trace_bytes(cfg, tmp_path)
     assert len(data) == 37109
     assert hashlib.sha256(data).hexdigest() == (
         "ccc7b779601b3a8953b8ecb1601abca93f3a9999e3db2f2b8d682dd04d44d17b"

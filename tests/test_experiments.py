@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -22,6 +23,8 @@ from hcasim import (
     aggregate,
     arterial_config,
     compare_strategies,
+    grid_config,
+    run,
     run_many,
     summarize_comparison,
     sweep_alpha,
@@ -36,7 +39,8 @@ from hcasim.experiments import (
     write_sweep_csv,
 )
 
-from conftest import cross_topology
+from conftest import cross_topology, merge_topology
+from netgen import random_config
 
 
 # --- aggregation ---------------------------------------------------------------
@@ -203,6 +207,37 @@ def test_run_many_starts_no_more_workers_than_runs(monkeypatch, runs, jobs, pool
     assert records == run_many(_tiny(), runs, jobs=1)
 
 
+# every seed draws, numbers its vehicles and ends as it does alone
+BATCHED = {
+    "grid": lambda: grid_config(q=0.12, horizon=150, seed=3),
+    "arterial-side-demand": lambda: arterial_config(q=0.2, side_q=0.05, horizon=150, seed=5),
+    "merge": lambda: SimConfig(merge_topology(), q=0.5, p=0.1, horizon=150, seed=4),
+    "netgen17": lambda: random_config(17, horizon=150),
+    "netgen47": lambda: random_config(47, horizon=150),
+    "entries-sharing-a-cell": lambda: SimConfig(
+        replace(cross_topology(), entry_points=((0, 0), (1, 0), (0, 0))),
+        q=0.6, horizon=150, seed=6,
+    ),
+    "fixed-time-split": lambda: arterial_config(
+        strategy="fixed_time", fixed_time_split=(7, 3), q=0.2, horizon=150, seed=2
+    ),
+    "min-green-stop-window": lambda: grid_config(
+        q=0.15, horizon=150, seed=9, min_green=3, stop_window=5
+    ),
+    "entry-intensities": lambda: SimConfig(
+        cross_topology(), entry_intensities=(0.7, None), q=0.2, horizon=150, seed=8
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("make", BATCHED.values(), ids=BATCHED)
+def test_run_many_equals_each_seed_run_alone(make, jobs):
+    cfg = make()
+    alone = [run(replace(cfg, seed=cfg.seed + i)) for i in range(5)]
+    assert run_many(cfg, 5, jobs=jobs) == alone
+
+
 def test_run_many_on_result_callback():
     seen = []
     records = run_many(_tiny(), 3, on_result=seen.append)
@@ -236,14 +271,15 @@ def test_sweep_alpha_is_pure():
 def test_sweep_error_carries_partial_rows(monkeypatch):
     import hcasim.experiments as mod
 
-    real = mod.run
+    real = mod.run_seeds
 
-    def flaky(config, *a, **kw):
+    def flaky(config, seeds):
+        # fails inside the second cell's batch
         if config.alpha == 1.0:
             raise RuntimeError("disk full")
-        return real(config, *a, **kw)
+        return real(config, seeds)
 
-    monkeypatch.setattr(mod, "run", flaky)
+    monkeypatch.setattr(mod, "run_seeds", flaky)
     with pytest.raises(SweepError, match="alpha=1") as exc_info:
         sweep_alpha(_tiny(), [0.0, 1.0], runs=2, scenario="x")
     assert len(exc_info.value.partial) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from hcasim import IntersectionDescriptor, LaneDescriptor, NetworkTopology
@@ -138,3 +139,11 @@ def test_signal_bits_match_scalar_oracle(case):
     topo, pi = case
     gamma = apply_signal_indications(pi, topo)
     assert gamma.tolist() == _signal_oracle(topo, pi)
+
+
+@pytest.mark.parametrize("pi, node", [([0, 2, 0], 1), ([-1, 0, 0], 0)])
+def test_signal_bits_reject_a_phase_the_node_lacks(pi, node):
+    # node 1 has two phases; unchecked, its phase 2 and node 0's phase -1
+    # would read other cells of the flat green table
+    with pytest.raises(ValueError, match=f"intersection {node}: phase {pi[node]} out of range"):
+        apply_signal_indications(pi, mixed_phase_topology())

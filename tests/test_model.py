@@ -16,8 +16,8 @@ from hcasim import (
     topology_digest,
     validate_topology,
 )
-from hcasim.model import Level1State, check_level1
-from conftest import arrays_of, cross_topology, state_with
+from hcasim.model import check_level1, replicate
+from conftest import cross_topology, lanes_of, mixed_phase_topology, state_with
 from netgen import random_topology
 
 
@@ -198,43 +198,48 @@ def test_validator_accepts_generated_networks(seed):
     assert validate_topology(random_topology(seed)) == []
 
 
-# -- Level1State / check_level1 ----------------------------------------------
+# -- Level1Arrays / check_level1 ---------------------------------------------
 
 
 def test_state_cell_view_matches_records(cross):
-    state = state_with(cross, (0, 2, 1), (0, 5, 2), (1, 0, 0))
+    state = state_with(cross, (0, 5, 2), (1, 0, 0), (0, 2, 1))
     assert state.vehicle_count == 3
-    assert [(v.id, v.cell, v.speed) for v in state.vehicles()] == [
-        (0, 2, 1), (1, 5, 2), (2, 0, 0)
-    ]
-    assert [len(lst) for lst in state.lane_vehicles] == [2, 1, 0, 0]
-
-
-def _both_forms(state):
-    return state, arrays_of(state)
+    # columns sorted by lane, front first; ids in argument order
+    assert state.data.T.tolist() == [[0, 5, 2, 0], [0, 2, 1, 2], [1, 0, 0, 1]]
+    assert [len(lane) for lane in lanes_of(state)] == [2, 1, 0, 0]
 
 
 def test_check_level1_clean(cross):
-    for state in _both_forms(state_with(cross, (0, 2, 1), (0, 5, 2), (2, 9, 0))):
-        assert check_level1(state, cross, 2) == []
+    state = state_with(cross, (0, 2, 1), (0, 5, 2), (2, 9, 0))
+    assert check_level1(state, cross, 2) == []
 
 
 def test_check_level1_detects_collision_and_order(cross):
-    for state in _both_forms(state_with(cross, (0, 4, 1), (0, 4, 2))):
-        assert any("collision" in v for v in check_level1(state, cross, 2))
-    state = state_with(cross, (0, 2, 1), (0, 5, 1))
-    state.lane_vehicles[0].reverse()
-    for state in _both_forms(state):
+    state = state_with(cross, (0, 4, 1), (0, 4, 2))
+    assert any("collision" in v for v in check_level1(state, cross, 2))
+    for vehicles in ([(0, 2, 1), (0, 5, 1)], [(0, 2, 1), (1, 5, 1)]):
+        # cells, then lanes, out of order
+        state = state_with(cross, *vehicles)
+        state.data = state.data[:, ::-1].copy()
         assert any("collision or unsorted" in v for v in check_level1(state, cross, 2))
-    # lanes out of order in the arrays
-    state = arrays_of(state_with(cross, (0, 2, 1), (1, 5, 1)))
-    state.data = state.data[:, ::-1].copy()
-    assert any("collision or unsorted" in v for v in check_level1(state, cross, 2))
 
 
 def test_check_level1_detects_bounds(cross):
-    for state in _both_forms(state_with(cross, (0, 12, 1))):
-        assert any("off-lane" in v for v in check_level1(state, cross, 2))
-    for state in _both_forms(state_with(cross, (0, 3, 5))):
-        assert any("speed" in v for v in check_level1(state, cross, 2))
+    state = state_with(cross, (0, 12, 1))
+    assert any("off-lane" in v for v in check_level1(state, cross, 2))
+    state = state_with(cross, (0, 3, 5))
+    assert any("speed" in v for v in check_level1(state, cross, 2))
 
+
+def test_replicate_offsets_every_id_by_copy():
+    topo = mixed_phase_topology()
+    twice = replicate(topo, 2)
+    assert replicate(topo, 1) is topo
+    assert validate_topology(twice) == []
+    assert twice.lanes[:14] == topo.lanes
+    assert twice.lanes[14 + 3] == LaneDescriptor(25, 3, 4, ((21, 0.7), (22, 0.3)))
+    node, copy = topo.intersections[1], twice.intersections[3 + 1]
+    assert copy.phases == ((17,), (20,))
+    assert copy.neighbors == tuple((nbr + 3, travel) for nbr, travel in node.neighbors)
+    assert copy.compatibility == {(nbr + 3, a, b) for nbr, a, b in node.compatibility}
+    assert twice.entry_points[6:] == tuple((li + 14, cell) for li, cell in topo.entry_points)

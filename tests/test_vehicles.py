@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcasim import LaneDescriptor, NetworkTopology, SimulationError
-from hcasim.model import Level1State, check_level1
+from hcasim.model import Level1Arrays, check_level1
 from hcasim.vehicles import (
     InjectionProcess,
     RngStream,
@@ -16,16 +16,19 @@ from hcasim.vehicles import (
     pick_exit,
     randomize,
 )
-from conftest import arrays_of, cross_topology, fork_topology, merge_topology, state_with
+from conftest import cross_topology, fork_topology, lanes_of, merge_topology, state_with
 from netgen import random_config
+from reference import RefSim
 
-ALL_GREEN = [1, 1, 1, 1]
-GREEN0 = [1, 0, 1, 1]
-RED = [0, 0, 1, 1]
+ALL_GREEN = np.array([1, 1, 1, 1])
+GREEN0 = np.array([1, 0, 1, 1])
+RED = np.array([0, 0, 1, 1])
+MERGE_GREEN0 = np.array([1, 1, 1, 0, 1])
+FORK_GREEN = np.array([1, 1, 1, 1, 1])
 
 
 def _vehicles(state, lane):
-    return [(v.cell, v.speed, v.id) for v in state.lane_vehicles[lane]]
+    return lanes_of(state)[lane]
 
 
 # -- rule primitives ---------------------------------------------------------
@@ -82,15 +85,15 @@ def test_rng_substreams_match_seed_sequence_spawn():
 def test_follower_brakes_against_leader_old_cell(cross):
     # leader moves away, but the follower still sees the pre-step gap
     state = state_with(cross, (0, 5, 2), (0, 4, 2))
-    advance_all(state, cross, ALL_GREEN, 2, 0.0, RngStream(0))
+    advance_all(state, cross, ALL_GREEN, 2, 0.0, [RngStream(0)])
     assert _vehicles(state, 0) == [(4, 0, 1), (7, 2, 0)]
 
 
 def test_red_approach_and_halt(cross):
     state = state_with(cross, (0, 7, 2))
-    advance_all(state, cross, RED, 2, 0.0, RngStream(0))
+    advance_all(state, cross, RED, 2, 0.0, [RngStream(0)])
     assert _vehicles(state, 0) == [(9, 2, 0)]
-    advance_all(state, cross, RED, 2, 0.0, RngStream(0))
+    advance_all(state, cross, RED, 2, 0.0, [RngStream(0)])
     assert _vehicles(state, 0) == [(9, 0, 0)]
 
 
@@ -98,14 +101,14 @@ def test_green_crossing_maps_cells_and_speed(cross):
     # from cell 9 at speed 1: accelerate to 2, cross the stop line at 10,
     # land on successor cell 1 having moved 2 cells
     state = state_with(cross, (0, 9, 1))
-    advance_all(state, cross, ALL_GREEN, 2, 0.0, RngStream(0))
+    advance_all(state, cross, ALL_GREEN, 2, 0.0, [RngStream(0)])
     assert _vehicles(state, 2) == [(1, 2, 0)]
 
 
 def test_crossing_brakes_against_successor_queue(cross):
     blocker = (2, 0, 0)
     state = state_with(cross, blocker, (0, 9, 2))
-    advance_all(state, cross, GREEN0, 2, 0.0, RngStream(0))
+    advance_all(state, cross, GREEN0, 2, 0.0, [RngStream(0)])
     # successor's first cell occupied: the crosser must wait at the line
     assert _vehicles(state, 0) == [(9, 0, 1)]
     assert _vehicles(state, 2) == [(1, 1, 0)]  # the blocker itself drove on
@@ -113,7 +116,7 @@ def test_crossing_brakes_against_successor_queue(cross):
 
 def test_crossing_lands_behind_successor_tail(cross):
     state = state_with(cross, (2, 1, 0), (0, 9, 2))
-    advance_all(state, cross, GREEN0, 2, 0.0, RngStream(0))
+    advance_all(state, cross, GREEN0, 2, 0.0, [RngStream(0)])
     assert _vehicles(state, 0) == []
     # crosser enters cell 0 (one behind the blocker's old cell 1); the
     # blocker itself pulls away to cell 2 in the same synchronous step
@@ -122,14 +125,14 @@ def test_crossing_lands_behind_successor_tail(cross):
 
 def test_transfer_conflict_lower_lane_wins(merge):
     state = state_with(merge, (0, 9, 2), (1, 9, 2))
-    advance_all(state, merge, [1, 1, 1, 0, 1], 2, 0.0, RngStream(0))
+    advance_all(state, merge, MERGE_GREEN0, 2, 0.0, [RngStream(0)])
     # both aim at cell 1 of lane 2; lane 0's vehicle wins, lane 1's falls back
     assert _vehicles(state, 2) == [(0, 1, 1), (1, 2, 0)]
 
 
 def test_transfer_conflict_squeeze_out(merge):
     state = state_with(merge, (0, 9, 0), (1, 9, 0))
-    advance_all(state, merge, [1, 1, 1, 0, 1], 2, 0.0, RngStream(0))
+    advance_all(state, merge, MERGE_GREEN0, 2, 0.0, [RngStream(0)])
     # both can only reach cell 0; the loser waits in place at speed 0
     assert _vehicles(state, 2) == [(0, 1, 0)]
     assert _vehicles(state, 1) == [(9, 0, 1)]
@@ -137,20 +140,20 @@ def test_transfer_conflict_squeeze_out(merge):
 
 def test_exit_lane_removal(cross):
     state = state_with(cross, (2, 9, 1))
-    assert advance_all(state, cross, ALL_GREEN, 2, 0.0, RngStream(0)) == 1
+    assert advance_all(state, cross, ALL_GREEN, 2, 0.0, [RngStream(0)]).tolist() == [1]
     assert state.vehicle_count == 0
 
 
 def test_exit_lane_is_open_road(cross):
     # no stop line on the way out: full speed regardless of signals
     state = state_with(cross, (2, 3, 2))
-    advance_all(state, cross, RED, 2, 0.0, RngStream(0))
+    advance_all(state, cross, RED, 2, 0.0, [RngStream(0)])
     assert _vehicles(state, 2) == [(5, 2, 0)]
 
 
 def test_certain_dawdle_slows_by_one(cross):
     state = state_with(cross, (0, 0, 2))
-    advance_all(state, cross, ALL_GREEN, 2, 1.0, RngStream(0))
+    advance_all(state, cross, ALL_GREEN, 2, 1.0, [RngStream(0)])
     assert _vehicles(state, 0) == [(1, 1, 0)]
 
 
@@ -160,13 +163,13 @@ def test_dawdle_draw_consumed_even_when_standing(cross):
     rng_a, rng_b = RngStream(7), RngStream(7)
     moving = state_with(cross, (0, 0, 2), (0, 3, 2), (1, 0, 2))
     standing = state_with(cross, (0, 9, 0), (0, 8, 0), (1, 9, 0))
-    advance_all(moving, cross, ALL_GREEN, 2, 0.2, rng_a)
-    advance_all(standing, cross, RED, 2, 0.2, rng_b)
+    advance_all(moving, cross, ALL_GREEN, 2, 0.2, [rng_a])
+    advance_all(standing, cross, RED, 2, 0.2, [rng_b])
     assert rng_a.dawdle.random() == rng_b.dawdle.random()
 
 
 def test_turn_draw_only_for_multi_exit_front_vehicle(fork):
-    gamma5 = [1, 1, 1, 1, 1]
+    gamma5 = FORK_GREEN
     fresh = RngStream(3)
     first, second = fresh.turn.random(), fresh.turn.random()
 
@@ -174,26 +177,26 @@ def test_turn_draw_only_for_multi_exit_front_vehicle(fork):
     cross_topo = cross_topology()
     rng = RngStream(3)
     state = state_with(cross_topo, (0, 9, 2))
-    advance_all(state, cross_topo, ALL_GREEN, 2, 0.0, rng)
+    advance_all(state, cross_topo, ALL_GREEN, 2, 0.0, [rng])
     assert rng.turn.random() == first
 
     # two-exit crossing consumes exactly one
     rng = RngStream(3)
     state = state_with(fork, (0, 9, 2))
-    advance_all(state, fork, gamma5, 2, 0.0, rng)
+    advance_all(state, fork, gamma5, 2, 0.0, [rng])
     assert rng.turn.random() == second
 
 
 def test_turn_draws_follow_documented_policy(fork):
     # draw-for-draw agreement with a hand-tracked turn stream
-    gamma5 = [1, 1, 1, 1, 1]
+    gamma5 = FORK_GREEN
     rng = RngStream(11)
     mirror = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11).spawn(3)[2]))
     state = state_with(fork, (0, 9, 2), (1, 9, 2))
-    advance_all(state, fork, gamma5, 2, 0.0, rng)
+    advance_all(state, fork, gamma5, 2, 0.0, [rng])
     u = mirror.random()  # only lane 0's front vehicle has two exits
     expect = 2 if u < 0.3 else 4
-    lanes_used = [li for li in (2, 4) if state.lane_vehicles[li]]
+    lanes_used = [li for li in (2, 4) if _vehicles(state, li)]
     assert lanes_used == [expect]
     assert rng.turn.random() == mirror.random()
 
@@ -201,10 +204,10 @@ def test_turn_draws_follow_documented_policy(fork):
 def test_committed_turn_draw_stays_consumed_when_dawdled(fork):
     # p=1: the front vehicle commits a crossing at the accelerated speed,
     # then dawdles back short of the stop line and stays put
-    gamma5 = [1, 1, 1, 1, 1]
+    gamma5 = FORK_GREEN
     rng = RngStream(5)
     state = state_with(fork, (0, 9, 0))
-    advance_all(state, fork, gamma5, 2, 1.0, rng)
+    advance_all(state, fork, gamma5, 2, 1.0, [rng])
     assert _vehicles(state, 0) == [(9, 0, 0)]
     mirror = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5).spawn(3)[2]))
     mirror.random()  # the committed draw
@@ -213,11 +216,11 @@ def test_committed_turn_draw_stays_consumed_when_dawdled(fork):
 
 def test_sweep_raises_on_corrupted_exit_vehicle(cross):
     # a leader parked past the end of a 10-cell lane (deliberately corrupt)
-    # leaves its follower room to run off the lane under red, where no exit
-    # was committed
+    # would leave its follower room to run off the lane under red, where no
+    # exit was committed; the sweep refuses the state before moving anyone
     state = state_with(cross, (0, 9, 2), (0, 15, 0))
-    with pytest.raises(SimulationError, match="without a committed exit"):
-        advance_all(state, cross, RED, 2, 0.0, RngStream(0))
+    with pytest.raises(SimulationError, match="past the end of lane 0"):
+        advance_all(state, cross, RED, 2, 0.0, [RngStream(0)])
 
 
 # -- injection ----------------------------------------------------------------
@@ -225,8 +228,8 @@ def test_sweep_raises_on_corrupted_exit_vehicle(cross):
 
 def test_injection_places_at_entry_at_speed_zero(cross):
     inj = InjectionProcess(cross, (1.0, 0.0))
-    state = Level1State.empty(cross)
-    inj.inject(state, RngStream(0))
+    state = Level1Arrays.empty(cross)
+    inj.inject(state, [RngStream(0)])
     assert _vehicles(state, 0) == [(0, 0, 0)]
     assert inj.total_injected == 1
 
@@ -234,13 +237,13 @@ def test_injection_places_at_entry_at_speed_zero(cross):
 def test_injection_backlog_waits_for_free_cell(cross):
     inj = InjectionProcess(cross, (1.0, 0.0))
     state = state_with(cross, (0, 0, 0))
-    state.lane_vehicles[0][0].id = 99
-    inj.inject(state, RngStream(0))
+    state.data[3, 0] = 99
+    inj.inject(state, [RngStream(0)])
     assert inj.total_pending == 1
     assert inj.total_injected == 0
     # cell frees up: exactly one pending arrival is placed per step
-    state = Level1State.empty(cross)
-    inj.inject(state, RngStream(1))
+    state = Level1Arrays.empty(cross)
+    inj.inject(state, [RngStream(1)])
     assert inj.total_injected == 1
     assert _vehicles(state, 0) == [(0, 0, 0)]
     assert inj.total_pending == 1  # this step drew another arrival
@@ -252,10 +255,10 @@ def test_injection_one_draw_per_entry_per_step(cross):
     inj_full = InjectionProcess(cross, (1.0, 1.0))
     inj_none = InjectionProcess(cross, (0.0, 0.0))
     rng_a, rng_b = RngStream(9), RngStream(9)
-    state_a, state_b = Level1State.empty(cross), Level1State.empty(cross)
+    state_a, state_b = Level1Arrays.empty(cross), Level1Arrays.empty(cross)
     for _ in range(5):
-        inj_full.inject(state_a, rng_a)
-        inj_none.inject(state_b, rng_b)
+        inj_full.inject(state_a, [rng_a])
+        inj_none.inject(state_b, [rng_b])
     assert rng_a.injection.random() == rng_b.injection.random()
     assert inj_none.total_injected == 0 and inj_none.total_pending == 0
 
@@ -265,10 +268,11 @@ def test_injection_dest_on_exit_entry():
     lanes = (LaneDescriptor(6, None, None),)
     topo = NetworkTopology(lanes, (), ((0, 0),))
     inj = InjectionProcess(topo, (1.0,))
-    state = Level1State.empty(topo)
-    inj.inject(state, RngStream(0))
+    state = Level1Arrays.empty(topo)
+    inj.inject(state, [RngStream(0)])
     rng = RngStream(0)
-    removed = [advance_all(state, topo, [0], 2, 0.0, rng) for _ in range(4)]
+    # a network-exit lane reads green under every phase
+    removed = [advance_all(state, topo, np.array([1]), 2, 0.0, [rng])[0] for _ in range(4)]
     assert removed == [0, 0, 0, 1]
 
 
@@ -291,7 +295,7 @@ def test_generated_runs_keep_level1_invariants(seed):
     for _ in range(60):
         sim.step()
         assert check_level1(sim.state, cfg.topology, cfg.v_max) == []
-        on_road = {v.id for v in sim.state.vehicles()}
+        on_road = set(sim.state.data[3].tolist())
         assert len(on_road) == sim.state.vehicle_count
         ids_seen |= on_road
     assert sim.injector.total_injected == sim.removed_total + sim.state.vehicle_count
@@ -315,18 +319,25 @@ def _placements(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_placements(), st.sampled_from((0.0, 0.3, 1.0)), st.integers(0, 2**32 - 1))
-def test_array_form_advances_like_the_lists(placement, p, seed):
+def test_array_form_advances_like_the_reference(placement, p, seed):
     topo, v_max, vehicles, gamma = placement
-    lists = state_with(topo, *vehicles)
-    arrays = arrays_of(lists)
-    rng_l, rng_a = RngStream(seed), RngStream(seed)
-    removed_l = advance_all(lists, topo, gamma, v_max, p, rng_l)
-    removed_a = advance_all(arrays, topo, np.array(gamma), v_max, p, rng_a)
-    assert removed_a == removed_l
-    assert [[(v.id, v.cell, v.speed) for v in lst] for lst in arrays.lane_vehicles] == [
-        [(v.id, v.cell, v.speed) for v in lst] for lst in lists.lane_vehicles
+    state = state_with(topo, *vehicles)
+    rng = RngStream(seed)
+    removed = advance_all(state, topo, np.array(gamma), v_max, p, [rng])
+    # the reference keeps an exit lane's last cell on each vehicle
+    dest = [lane.length - 1 if lane.downstream is None else None for lane in topo.lanes]
+    ref = RefSim(topo, v_max=v_max, p=p, seed=seed)
+    for vid, (lane, cell, speed) in enumerate(vehicles):
+        ref.occ[lane][cell] = [vid, speed, dest[lane]]
+    ref.gamma = gamma
+    ref._advance()
+    assert removed.tolist() == [ref.removed_total]
+    got = [
+        tuple((cell, vid, speed, dest[li]) for cell, speed, vid in lane)
+        for li, lane in enumerate(lanes_of(state))
     ]
-    assert check_level1(arrays, topo, v_max) == []
-    # both forms took the same number of draws from every stream
-    assert rng_a.dawdle.random() == rng_l.dawdle.random()
-    assert rng_a.turn.random() == rng_l.turn.random()
+    assert got == ref.lane_snapshot()
+    assert check_level1(state, topo, v_max) == []
+    # both took the same number of draws from every stream
+    assert rng.dawdle.random() == ref.rng_daw.random()
+    assert rng.turn.random() == ref.rng_turn.random()

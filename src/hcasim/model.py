@@ -138,7 +138,7 @@ def _compile_tables(
 
     lane_length = np.array([lane.length for lane in lanes], dtype=np.intp)
     exit_last = np.array([len(lane.exits) - 1 for lane in lanes], dtype=np.intp)
-    # cumsum adds one exit at a time, as pick_exit does, so the sums agree bit for bit
+    # cumsum adds one exit at a time, as the turning rule's running sum does, bit for bit
     real_exit = np.arange(width)[:, None] <= exit_last
     exit_cum = np.where(real_exit, exit_weights.cumsum(axis=0), np.inf)
     stride = int(lane_length.max(initial=1))

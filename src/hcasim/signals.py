@@ -45,6 +45,9 @@ def _coordination(tables: TopologyTables, neighbors: Level3State) -> np.ndarray:
     return prio.reshape(tables.phase_base.shape)
 
 
+_PAD = np.zeros(1)
+
+
 def _select(
     tables: TopologyTables,
     backlog: Sequence[float],
@@ -57,7 +60,7 @@ def _select(
 
     With ``alpha`` at zero the coordination term is not evaluated at all.
     """
-    padded = np.append(backlog, 0.0)  # padding lane -1 reads a backlog of 0.0
+    padded = np.concatenate((backlog, _PAD))  # padding lane -1 reads a backlog of 0.0
     scores = tables.phase_base.copy()
     for lanes in tables.phase_lanes:
         scores += padded[lanes]

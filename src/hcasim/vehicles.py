@@ -1,10 +1,26 @@
 """Vehicle-level dynamics: the synchronous cell-automaton update and arrivals.
 
-Each vehicle updates by accelerate, brake, randomize, move.  Every braking
-decision reads the pre-step configuration only, so the whole network advances
-as one synchronous automaton: followers brake against their leader's old
-cell, and a vehicle crossing an intersection brakes against the first cell
-that was occupied on its chosen successor lane at the start of the step.
+Level 1 is a Nagel-Schreckenberg automaton on lanes joined at signalled
+intersections, and :func:`advance_all` is its one implementation.  Each step
+every vehicle, at speed ``v`` with dawdle uniform ``u``:
+
+1. accelerates: ``v = min(v + 1, v_max)``;
+2. brakes: ``v = min(v, d - 1)`` against its leader ``d`` cells ahead, at the
+   leader's old cell.  A lane's front vehicle has no leader on its lane: on
+   red it brakes against the stop line ``s`` cells ahead, ``v = min(v, s - 1)``;
+   on green the line does not constrain, and a front vehicle that could
+   reach the line commits to crossing, draws its exit and brakes against the
+   old cell of the rear vehicle on that exit lane (the lane's end when it is
+   empty), ``d`` counted across the line;
+3. dawdles: ``v = max(v - 1, 0)`` when ``u < p``, strictly, so ``u == p``
+   keeps the speed and a standing vehicle stays at 0;
+4. moves ``v`` cells.  A crosser lands on its exit lane, and a vehicle that
+   runs past the end of a network-exit lane leaves the network.
+
+Every braking decision reads the pre-step configuration only, so the whole
+network advances as one synchronous automaton.  A committed vehicle takes
+the first exit, in stored order, whose running weight sum exceeds its turn
+uniform ``u`` (strictly: ``u < sum``), and the last exit when none does.
 
 Random-draw policy (kept bit-stable across releases, and mirrored by any
 independent reimplementation that wants draw-for-draw agreement):
@@ -42,39 +58,6 @@ class RngStream:
         self.turn = np.random.Generator(np.random.PCG64(turn))
 
 
-def accelerate(v: int, v_max: int) -> int:
-    """Speed after the acceleration stage."""
-    return min(v + 1, v_max)
-
-
-def brake(v: int, d: int, s: int, gamma: int) -> int:
-    """Speed after yielding to the leader gap ``d`` and, on red, the stop line.
-
-    ``d`` is the distance in cells to the vehicle ahead (at least 1 in any
-    collision-free state) and ``s`` the distance to the stop line.  On green
-    the stop line does not constrain.
-    """
-    v = min(v, d - 1)
-    if not gamma:
-        v = min(v, s - 1)
-    return v
-
-
-def randomize(v: int, p: float, u: float) -> int:
-    """Dawdle: slow down by one with probability ``p``, given a uniform ``u``."""
-    return max(v - 1, 0) if u < p else v
-
-
-def pick_exit(exits: Sequence[tuple[int, float]], u: float) -> int:
-    """Choose a successor lane by inverse CDF over the stored exit order."""
-    acc = 0.0
-    for lane_id, w in exits:
-        acc += w
-        if u < acc:
-            return lane_id
-    return exits[-1][0]
-
-
 def _uniforms(rngs: Sequence[RngStream], stream: str, sizes: Sequence[int]) -> np.ndarray:
     """``sizes[r]`` uniforms from substream ``stream`` of ``rngs[r]``, in replica order."""
     if len(rngs) == 1:
@@ -90,8 +73,9 @@ def advance_all(
     p: float,
     rngs: Sequence[RngStream],
 ) -> np.ndarray:
-    """Advance every vehicle one step; returns how many left the network in
-    each of the state's replicas, whose random streams ``rngs`` holds.
+    """Advance every vehicle one step by the rule of this module; returns how
+    many left the network in each of the state's replicas, whose random
+    streams ``rngs`` holds.
 
     Mutates ``state`` in place.  A vehicle that commits to crossing draws its
     exit before braking (the successor determines the gap); if dawdling then
@@ -131,7 +115,7 @@ def advance_all(
         multi = pick.nonzero()[0]
         if multi.size:
             u = _uniforms(rngs, "turn", state.per_replica(cl.take(multi)))
-            # pick_exit: the first exit whose running weight sum exceeds u, else the last
+            # turning: the first exit whose running weight sum exceeds u, else the last
             hits = (u >= t.exit_cum.take(cl.take(multi), axis=1)).sum(axis=0)
             pick[multi] = np.minimum(hits, pick.take(multi))
         target = t.exit_targets.take(pick * t.lane_length.size + cl)
@@ -222,16 +206,6 @@ class InjectionProcess:
         # replica r's entries are the r-th of ``replicas`` equal blocks
         self.entries_per_replica = len(intensities) // replicas
         self.next_id = np.zeros(replicas, dtype=np.intp)
-
-    @property
-    def total_injected(self) -> int:
-        """Vehicles actually placed so far (ids are assigned densely per replica)."""
-        return int(self.next_id.sum())
-
-    @property
-    def total_pending(self) -> int:
-        """Arrivals drawn but still waiting for a free entry cell."""
-        return int(self.pending.sum())
 
     def inject(self, state: Level1Arrays, rngs: Sequence[RngStream]) -> None:
         """Draw this step's arrivals and place what fits; ``rngs`` holds one

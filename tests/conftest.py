@@ -99,6 +99,42 @@ def mixed_phase_topology(v_max: int = 2) -> NetworkTopology:
     return derive_compatibility(NetworkTopology(lanes, nodes, entries), v_max)
 
 
+def ring_topology(length: int = 100) -> NetworkTopology:
+    """A closed ring of two ``length``-cell lanes through two nodes, without
+    entries or exits.
+
+    Lane 0 runs from node 0 to node 1 and lane 1 back; each node's first
+    phase serves the ring, and its second a one-cell approach (lanes 2 and 3)
+    that no vehicle uses.  Under ``fixed_time`` with split ``(1, 0)`` the
+    ring is always green.
+    """
+    lanes = (
+        LaneDescriptor(length, 0, 1, ((1, 1.0),)),
+        LaneDescriptor(length, 1, 0, ((0, 1.0),)),
+        LaneDescriptor(1, None, 0, ((0, 1.0),)),
+        LaneDescriptor(1, None, 1, ((1, 1.0),)),
+    )
+    nodes = (
+        IntersectionDescriptor((1, 2), ((1,), (2,))),
+        IntersectionDescriptor((0, 3), ((0,), (3,))),
+    )
+    return NetworkTopology(lanes, nodes, ())
+
+
+def ring_simulation(n: int, length: int = 100, **fields) -> Simulation:
+    """A :class:`Simulation` of ``ring_topology(length)`` holding ``n``
+    vehicles at speed 0, spread evenly round the ring, with its invariants
+    checked every step; ``fields`` go to the :class:`SimConfig`."""
+    config = SimConfig(
+        ring_topology(length), strategy="fixed_time", fixed_time_split=(1, 0), **fields
+    )
+    sim = Simulation(config, check_invariants=True)
+    ring = [i * 2 * length // n for i in range(n)]
+    sim.state = state_with(config.topology, *((x // length, x % length, 0) for x in ring))
+    sim.injector.next_id[:] = n
+    return sim
+
+
 def state_with(topology: NetworkTopology, *vehicles) -> Level1Arrays:
     """Level-1 state holding the given (lane, cell, speed) vehicles, numbered
     0, 1, ... in argument order."""

@@ -15,8 +15,6 @@ import random
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from hcasim import (
     IntersectionDescriptor,
     MetricsRecord,
@@ -33,7 +31,7 @@ from hcasim import (
 from hcasim.cli import main as cli_main
 from hcasim.model import IntersectionState
 from hcasim.signals import select_phase
-from hcasim.vehicles import accelerate, brake, randomize
+from conftest import ring_simulation
 from netgen import random_config
 
 FULL = os.environ.get("HCASIM_ACCEPTANCE_FULL") == "1"
@@ -317,25 +315,17 @@ def test_acceptance_8_reruns_are_byte_identical(tmp_path, capsys):
 
 def _ring_flow(density: float, seed: int, n_cells: int = 200, v_max: int = 2,
                p: float = 0.2, warm: int = 500, measure: int = 2000) -> float:
-    """Mean flow (vehicles per cell-step) on a periodic single lane."""
+    """Mean flow (vehicles per cell-step) of the engine on a closed ring of
+    ``n_cells`` cells whose signals stay green."""
     n = max(1, round(density * n_cells))
-    pos = np.floor(np.arange(n) * n_cells / n).astype(int)
-    speeds = np.zeros(n, dtype=int)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    sim = ring_simulation(
+        n, n_cells // 2, v_max=v_max, p=p, seed=seed, horizon=warm + measure
+    )
     moved = 0
     for t in range(warm + measure):
-        # vehicle i always follows vehicle (i+1) % n; order never changes
-        gap = (np.roll(pos, -1) - pos) % n_cells
-        if n == 1:
-            gap[:] = n_cells
-        draws = rng.random(n)
-        for i in range(n):
-            v = accelerate(int(speeds[i]), v_max)
-            v = brake(v, int(gap[i]), 10**9, 1)
-            speeds[i] = randomize(v, p, float(draws[i]))
-        pos = (pos + speeds) % n_cells
+        sim.step()
         if t >= warm:
-            moved += int(speeds.sum())
+            moved += int(sim.state.data[2].sum())
     return moved / (measure * n_cells)
 
 

@@ -89,10 +89,10 @@ def test_advance_all_gets_the_state_first(monkeypatch):
     for _, sim, _ in each_level1_form(grid_config(q=0.5, horizon=5, seed=1)):
         seen.clear()
         for _ in range(5):
-            on_road, injected = sim.state.vehicle_count, sim.injector.total_injected
+            on_road, injected = sim.state.vehicle_count, sim.injector.next_id.sum()
             sim.step()
             # everything on the road after this step's arrivals moves once
-            assert seen[-1] == on_road + sim.injector.total_injected - injected
+            assert seen[-1] == on_road + sim.injector.next_id.sum() - injected
         assert len(seen) == 5 and seen[-1] > 0
 
 

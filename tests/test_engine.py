@@ -21,6 +21,7 @@ from hcasim import (
     arterial_config,
     grid_config,
     run,
+    validate_topology,
 )
 from hcasim.engine import count_stopped, run_seeds, trace_columns
 from hcasim.model import IntersectionState, Level1Arrays, replicate
@@ -34,6 +35,8 @@ from conftest import (
     merge_topology,
     mixed_phase_topology,
     replica_view,
+    ring_simulation,
+    ring_topology,
     state_with,
 )
 
@@ -322,6 +325,18 @@ def test_invariant_checking_runs_clean():
     for _, sim, _ in each_level1_form(grid_config(q=0.2, horizon=150, seed=8), True):
         for _ in range(150):
             sim.step()
+
+
+def test_ring_keeps_its_vehicles():
+    # a closed network: no entry draws a vehicle and none leaves
+    assert validate_topology(ring_topology()) == []
+    sim = ring_simulation(60, horizon=200, seed=4)
+    for _ in range(200):
+        sim.step()
+        assert sim.gamma[:2].tolist() == [1, 1]  # the ring never sees red
+    rec = sim.metrics()
+    assert (rec.vehicles_injected, rec.vehicles_removed, rec.vehicles_in_network) == (60, 0, 60)
+    assert sorted(sim.state.data[3].tolist()) == list(range(60))
 
 
 # --- pinned behaviour -----------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Vehicle rule primitives and the synchronous lane sweep."""
+"""The level-1 rule, the synchronous lane sweep and arrivals."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +9,7 @@ from hypothesis import strategies as st
 
 from hcasim import LaneDescriptor, NetworkTopology, SimulationError
 from hcasim.model import Level1Arrays, check_level1
-from hcasim.vehicles import (
-    InjectionProcess,
-    RngStream,
-    accelerate,
-    advance_all,
-    brake,
-    pick_exit,
-    randomize,
-)
+from hcasim.vehicles import InjectionProcess, RngStream, advance_all
 from conftest import cross_topology, fork_topology, lanes_of, merge_topology, state_with
 from netgen import random_config
 from reference import RefSim
@@ -31,12 +25,43 @@ def _vehicles(state, lane):
     return lanes_of(state)[lane]
 
 
-# -- rule primitives ---------------------------------------------------------
+class _Uniforms:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, k):
+        assert k <= len(self.values), f"{k} draws asked, {len(self.values)} scripted"
+        out, self.values = self.values[:k], self.values[k:]
+        return np.array(out)
+
+
+def _move(topo, vehicle, gamma, v_max=2, p=0.0, dawdle=0.5, turn=(), others=()):
+    """Advance ``vehicle`` and ``others`` (lane, cell, speed) one step on
+    scripted draws: the uniform ``dawdle`` for every vehicle and ``turn`` in
+    order; returns the vehicle's new (lane, cell, speed)."""
+    state = state_with(topo, vehicle, *others)
+    stream = SimpleNamespace(
+        injection=_Uniforms(()),
+        dawdle=_Uniforms([dawdle] * state.vehicle_count),
+        turn=_Uniforms(turn),
+    )
+    advance_all(state, topo, np.array(gamma), v_max, p, [stream])
+    assert stream.dawdle.values == [] and stream.turn.values == []
+    (at,) = (state.data[3] == 0).nonzero()[0]
+    lane, cell, speed, _ = state.data[:, at].tolist()
+    return lane, cell, speed
+
+
+# -- the rule on single vehicles (p=0 unless stated) ---------------------------
 
 
 @pytest.mark.parametrize("v, v_max, want", [(0, 2, 1), (1, 2, 2), (2, 2, 2), (5, 3, 3)])
 def test_accelerate(v, v_max, want):
-    assert accelerate(v, v_max) == want
+    # accelerates by one, capped at v_max, far behind its leader
+    topo = cross_topology(v_max=v_max)
+    assert _move(topo, (0, 0, v), ALL_GREEN, v_max, others=[(0, 9, 0)]) == (0, want, want)
 
 
 @pytest.mark.parametrize(
@@ -52,23 +77,31 @@ def test_accelerate(v, v_max, want):
     ],
 )
 def test_brake(v, d, s, gamma, want):
-    assert brake(v, d, s, gamma) == want
+    # v is the accelerated speed, s the cells to the stop line, d to the
+    # leader: on lane 0 when it is short of the line, otherwise the rear
+    # vehicle of the exit lane, counted across the line
+    cell = 10 - s
+    leader = (0, cell + d, 0) if d < s else (2, d - s, 0)
+    gamma4 = ALL_GREEN if gamma else RED
+    got = _move(cross_topology(), (0, cell, v - 1), gamma4, others=[leader])
+    assert got == (0, cell + want, want)
 
 
 def test_randomize():
-    assert randomize(2, 0.5, 0.49) == 1
-    assert randomize(2, 0.5, 0.5) == 2
-    assert randomize(0, 1.0, 0.0) == 0  # standing vehicles stay at zero
-    assert randomize(1, 0.0, 0.999) == 1
+    # dawdling slows by one on a strict u < p, never below 0; before it the
+    # vehicle's speed is 2 (free), 2, 0 (at a red line) and 1 (from rest)
+    cross = cross_topology()
+    assert _move(cross, (0, 0, 2), ALL_GREEN, p=0.5, dawdle=0.49) == (0, 1, 1)
+    assert _move(cross, (0, 0, 2), ALL_GREEN, p=0.5, dawdle=0.5) == (0, 2, 2)
+    assert _move(cross, (0, 9, 0), RED, p=1.0, dawdle=0.0) == (0, 9, 0)
+    assert _move(cross, (0, 0, 0), ALL_GREEN, p=0.0, dawdle=0.999) == (0, 1, 1)
 
 
-def test_pick_exit_inverse_cdf():
-    exits = ((2, 0.3), (4, 0.7))
-    assert pick_exit(exits, 0.0) == 2
-    assert pick_exit(exits, 0.29) == 2
-    assert pick_exit(exits, 0.3) == 4
-    assert pick_exit(exits, 0.99) == 4
-    assert pick_exit(exits, 1.0) == 4  # fallback: last exit
+def test_turn_inverse_cdf(fork):
+    # exits (2, 0.3), (4, 0.7): the first whose running weight sum exceeds
+    # u, strictly; u = 1.0 exceeds none and falls back to the last
+    for u, exit_lane in [(0.0, 2), (0.29, 2), (0.3, 4), (0.99, 4), (1.0, 4)]:
+        assert _move(fork, (0, 9, 2), FORK_GREEN, turn=[u]) == (exit_lane, 1, 2), u
 
 
 def test_rng_substreams_match_seed_sequence_spawn():
@@ -231,7 +264,7 @@ def test_injection_places_at_entry_at_speed_zero(cross):
     state = Level1Arrays.empty(cross)
     inj.inject(state, [RngStream(0)])
     assert _vehicles(state, 0) == [(0, 0, 0)]
-    assert inj.total_injected == 1
+    assert inj.next_id.sum() == 1
 
 
 def test_injection_backlog_waits_for_free_cell(cross):
@@ -239,14 +272,14 @@ def test_injection_backlog_waits_for_free_cell(cross):
     state = state_with(cross, (0, 0, 0))
     state.data[3, 0] = 99
     inj.inject(state, [RngStream(0)])
-    assert inj.total_pending == 1
-    assert inj.total_injected == 0
+    assert inj.pending.sum() == 1
+    assert inj.next_id.sum() == 0
     # cell frees up: exactly one pending arrival is placed per step
     state = Level1Arrays.empty(cross)
     inj.inject(state, [RngStream(1)])
-    assert inj.total_injected == 1
+    assert inj.next_id.sum() == 1
     assert _vehicles(state, 0) == [(0, 0, 0)]
-    assert inj.total_pending == 1  # this step drew another arrival
+    assert inj.pending.sum() == 1  # this step drew another arrival
 
 
 def test_injection_one_draw_per_entry_per_step(cross):
@@ -260,7 +293,7 @@ def test_injection_one_draw_per_entry_per_step(cross):
         inj_full.inject(state_a, [rng_a])
         inj_none.inject(state_b, [rng_b])
     assert rng_a.injection.random() == rng_b.injection.random()
-    assert inj_none.total_injected == 0 and inj_none.total_pending == 0
+    assert inj_none.next_id.sum() == 0 and inj_none.pending.sum() == 0
 
 
 def test_injection_dest_on_exit_entry():
@@ -298,8 +331,9 @@ def test_generated_runs_keep_level1_invariants(seed):
         on_road = set(sim.state.data[3].tolist())
         assert len(on_road) == sim.state.vehicle_count
         ids_seen |= on_road
-    assert sim.injector.total_injected == sim.removed_total + sim.state.vehicle_count
-    assert ids_seen <= set(range(sim.injector.total_injected))
+    injected = sim.injector.next_id.sum()
+    assert injected == sim.removed_total + sim.state.vehicle_count
+    assert ids_seen <= set(range(injected))
 
 
 @st.composite

@@ -90,13 +90,6 @@ class Simulation:
         report = validate_topology(config.topology)
         if report:
             raise ConfigError("invalid topology: " + "; ".join(report))
-        if config.strategy == "fixed_time":
-            split = config.fixed_time_split or ()
-            for ii, node in enumerate(config.topology.intersections):
-                if all(split[j % len(split)] == 0 for j in range(len(node.phases))):
-                    raise ConfigError(
-                        f"intersection {ii}: fixed_time_split leaves every phase at zero"
-                    )
         replicas = len(seeds)
         self.config = config
         self.seeds = tuple(seeds)
@@ -154,11 +147,12 @@ class Simulation:
                 f"seed {self.seeds[r]}: conservation: injected {injected[r]} != removed "
                 f"{removed[r]} + on-road {on_road[r]}"
             )
-        for ii, st in enumerate(self.node_states):
-            if not 0 <= st.pi < len(self.topology.intersections[ii].phases):
-                report.append(f"intersection {ii}: active phase {st.pi} out of range")
-            if st.tau < 0:
-                report.append(f"intersection {ii}: negative elapsed time {st.tau}")
+        pi, tau = self.node_states.pi, self.node_states.tau
+        # a negative phase reads as a huge unsigned one
+        for ii in np.flatnonzero(pi.view(np.uintp) >= self.topology.tables.phase_count).tolist():
+            report.append(f"intersection {ii}: active phase {pi[ii]} out of range")
+        for ii in np.flatnonzero(tau < 0).tolist():
+            report.append(f"intersection {ii}: negative elapsed time {tau[ii]}")
         if report:
             raise SimulationError(f"step {self.t}: " + "; ".join(report))
 

@@ -367,6 +367,13 @@ class SimConfig:
                 raise ConfigError(
                     "fixed_time strategy needs a fixed_time_split with a positive total"
                 )
+            # phase j reads split[j % len(split)], so a node of n phases reads
+            # split[:n], or the whole split when n >= len(split)
+            for i, node in enumerate(self.topology.intersections):
+                if not any(split[: len(node.phases)]):
+                    raise ConfigError(
+                        f"intersection {i}: fixed_time_split leaves every phase at zero"
+                    )
 
     def resolved_intensities(self) -> tuple[float, ...]:
         """Per-entry arrival probabilities with ``q`` filled into None slots."""

@@ -30,7 +30,7 @@ def _one_node(node: IntersectionDescriptor) -> TopologyTables:
     return NetworkTopology((), (node,), ()).tables
 
 
-def _coordination(tables: TopologyTables, neighbors: Level3State) -> np.ndarray:
+def _coordination(tables: TopologyTables, states: Level3State) -> np.ndarray:
     """Coordination priority of every (node, phase) slot, floored at zero.
 
     Each coordination entry credits its own phase with the neighbor's
@@ -38,41 +38,11 @@ def _coordination(tables: TopologyTables, neighbors: Level3State) -> np.ndarray:
     and the score is positive; a phase keeps its best credit.
     """
     own, nbr, nbr_phase, travel = tables.coordination
-    score = neighbors.tau[nbr] - travel
-    hit = (score > 0) & (neighbors.pi[nbr] == nbr_phase)
+    score = states.tau[nbr] - travel
+    hit = (score > 0) & (states.pi[nbr] == nbr_phase)
     prio = np.zeros(tables.phase_base.size)
     np.maximum.at(prio, own[hit], score[hit])
     return prio.reshape(tables.phase_base.shape)
-
-
-_PAD = np.zeros(1)
-
-
-def _select(
-    tables: TopologyTables,
-    backlog: Sequence[float],
-    current: Level3State,
-    neighbors: Level3State,
-    alpha: float,
-    min_green: int,
-) -> Level3State:
-    """The rule of :func:`select_phase` for every node of ``tables`` at once.
-
-    With ``alpha`` at zero the coordination term is not evaluated at all.
-    """
-    padded = np.concatenate((backlog, _PAD))  # padding lane -1 reads a backlog of 0.0
-    scores = tables.phase_base.copy()
-    for lanes in tables.phase_lanes:
-        scores += padded[lanes]
-    if alpha:
-        scores += alpha * _coordination(tables, neighbors)
-    pi, tau = current.pi, current.tau
-    rows = np.arange(len(pi))
-    top = scores.argmax(axis=1)  # the lowest phase index among the maxima
-    keep = scores[rows, pi] == scores[rows, top]
-    if min_green:
-        keep |= tau < min_green
-    return Level3State(np.where(keep, pi, top), np.where(keep, tau + 1, 0))
 
 
 def coordination_priority(
@@ -93,35 +63,20 @@ def coordination_priority(
     return float(_coordination(_one_node(node), Level3State.of(neighbor_states))[0, phase])
 
 
-def select_phase(
-    node: IntersectionDescriptor,
-    backlog: Sequence[float],
-    neighbor_states: Sequence[IntersectionState],
-    current: IntersectionState,
-    alpha: float,
-    min_green: int = 0,
-) -> IntersectionState:
-    """Next (phase, elapsed) pair for one intersection.
-
-    Each phase scores its pressure plus ``alpha`` times its coordination
-    priority.  The incumbent phase keeps running on a score tie; otherwise
-    the lowest phase index among the maxima wins.  ``tau`` is the elapsed
-    time since activation: 0 on the step a phase comes up, incremented on
-    every held step.  While ``tau`` is below ``min_green`` the incumbent is
-    held whatever the scores.
-    """
-    return _select(
-        _one_node(node),
-        backlog,
-        Level3State.of((current,)),
-        Level3State.of(neighbor_states),
-        alpha,
-        min_green,
-    )[0]
+_PAD = np.zeros(1)
 
 
 class AdaptiveSelector:
-    """Per-step phase choice from pressure plus weighted coordination."""
+    """Per-step phase choice from pressure plus weighted coordination.
+
+    Each phase of a node scores its pressure plus ``alpha`` times its
+    coordination priority.  The incumbent phase keeps running on a score
+    tie; otherwise the lowest phase index among the maxima wins.  ``tau``
+    is the elapsed time since activation: 0 on the step a phase comes up,
+    incremented on every held step.  While ``tau`` is below ``min_green``
+    the incumbent is held whatever the scores.  With ``alpha`` at zero the
+    coordination term is not evaluated at all.
+    """
 
     def __init__(self, alpha: float, min_green: int = 0):
         self.alpha = alpha
@@ -136,9 +91,20 @@ class AdaptiveSelector:
         # `states` is the previous step's snapshot for every node, so all
         # intersections decide against the same picture.
         states = Level3State.of(states)
-        return _select(
-            topology.tables, backlog, states, states, self.alpha, self.min_green
-        )
+        tables = topology.tables
+        padded = np.concatenate((backlog, _PAD))  # padding lane -1 reads a backlog of 0.0
+        scores = tables.phase_base.copy()
+        for lanes in tables.phase_lanes:
+            scores += padded[lanes]
+        if self.alpha:
+            scores += self.alpha * _coordination(tables, states)
+        pi, tau = states.pi, states.tau
+        rows = np.arange(len(pi))
+        top = scores.argmax(axis=1)  # the lowest phase index among the maxima
+        keep = scores[rows, pi] == scores[rows, top]
+        if self.min_green:
+            keep |= tau < self.min_green
+        return Level3State(np.where(keep, pi, top), np.where(keep, tau + 1, 0))
 
 
 class FixedTimeSelector:

@@ -157,7 +157,7 @@ def lanes_of(state: Level1Arrays, replica: int = 0) -> list[list[tuple[int, int,
     return [sorted(lane) for lane in lanes]
 
 
-def each_level1_form(config: SimConfig, check_invariants: bool = False):
+def alone_and_in_batch(config: SimConfig, check_invariants: bool = False):
     """Yield ``(form, sim, replica)``: ``config`` run alone, then as replica 1
     of a batch of three seeds; ``sim.step()`` advances it."""
     yield "alone", Simulation(config, check_invariants), 0

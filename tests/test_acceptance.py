@@ -18,6 +18,7 @@ from dataclasses import replace
 from hcasim import (
     IntersectionDescriptor,
     MetricsRecord,
+    NetworkTopology,
     SimConfig,
     Simulation,
     arterial_config,
@@ -29,8 +30,8 @@ from hcasim import (
     welch_one_sided,
 )
 from hcasim.cli import main as cli_main
-from hcasim.model import IntersectionState
-from hcasim.signals import select_phase
+from hcasim.model import IntersectionState, Level3State
+from hcasim.signals import AdaptiveSelector
 from conftest import ring_simulation
 from netgen import random_config
 
@@ -74,12 +75,10 @@ def test_acceptance_1_pressure_argmax_oracle():
         want_pi = incumbent if sums[incumbent] == top else sums.index(top)
         want_tau = tau + 1 if want_pi == incumbent else 0
 
-        got = select_phase(
-            node,
+        (got,) = AdaptiveSelector(alpha=0.0).select(
+            NetworkTopology((), (node,), ()),
             [float(b) for b in backlog_int],
-            [],
-            IntersectionState(incumbent, tau),
-            alpha=0.0,
+            Level3State.of([IntersectionState(incumbent, tau)]),
         )
         if (got.pi, got.tau) != (want_pi, want_tau):
             mismatches += 1

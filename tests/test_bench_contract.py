@@ -33,7 +33,7 @@ from hcasim import Simulation, compare_strategies, grid_config, run_many, sweep_
 from hcasim.model import IntersectionState
 from hcasim.signals import AdaptiveSelector, FixedTimeSelector, controller_strategy
 
-from conftest import each_level1_form
+from conftest import alone_and_in_batch
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -86,7 +86,7 @@ def test_advance_all_gets_the_state_first(monkeypatch):
         return advance_all(*args, **kwargs)
 
     monkeypatch.setattr(hcasim.engine, "advance_all", recording)
-    for _, sim, _ in each_level1_form(grid_config(q=0.5, horizon=5, seed=1)):
+    for _, sim, _ in alone_and_in_batch(grid_config(q=0.5, horizon=5, seed=1)):
         seen.clear()
         for _ in range(5):
             on_road, injected = sim.state.vehicle_count, sim.injector.next_id.sum()
@@ -99,6 +99,17 @@ def test_advance_all_gets_the_state_first(monkeypatch):
 def test_run_many_positional_signature():
     params = list(inspect.signature(run_many).parameters)
     assert params == ["config", "runs", "base_seed", "jobs", "on_result"]
+
+
+def test_traced_selection_signatures():
+    # the tracer rebinds coordination_priority with a wrapper of these
+    # parameters and reads select's states as args[3]
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(hcasim.signals.coordination_priority) == ["node", "phase", "neighbor_states"]
+    for selector in (AdaptiveSelector, FixedTimeSelector):
+        assert params(selector.select) == ["self", "topology", "backlog", "states"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -220,6 +220,13 @@ def test_split_without_fixed_time_is_config_error(capsys, no_runs):
     assert "--split applies to the fixed_time strategy, not hca" in capsys.readouterr().err
 
 
+def test_split_leaving_a_node_no_green_is_config_error(capsys, no_runs):
+    # the grid's 2-phase nodes read only the split's two zeros
+    argv = ["run", "--strategy", "fixed_time", "--split", "0,0,5", "--steps", "5"]
+    assert main(argv) == 2
+    assert "intersection 0: fixed_time_split leaves every phase at zero" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "extra", [["--strategy", "backpressure"], ["--strategy", "fixed_time", "--split", "20,20"]],
     ids=["backpressure", "fixed_time"],

@@ -18,19 +18,20 @@ from hcasim import (
     NetworkTopology,
     SimConfig,
     Simulation,
+    SimulationError,
     arterial_config,
     grid_config,
     run,
     validate_topology,
 )
 from hcasim.engine import count_stopped, run_seeds, trace_columns
-from hcasim.model import IntersectionState, Level1Arrays, replicate
+from hcasim.model import IntersectionState, Level1Arrays, Level3State, replicate
 from netgen import random_config, random_topology
 from reference import RefSim
 
 from conftest import (
+    alone_and_in_batch,
     cross_topology,
-    each_level1_form,
     lanes_of,
     merge_topology,
     mixed_phase_topology,
@@ -81,16 +82,9 @@ def test_simulation_rejects_invalid_topology(cross):
         Simulation(bad)
 
 
-def test_fixed_time_split_must_cover_some_phase(cross):
-    # split (0, 0, 5): a 2-phase node only ever sees entries 0 and 1, both zero
-    cfg = SimConfig(cross, strategy="fixed_time", fixed_time_split=(0, 0, 5))
-    with pytest.raises(ConfigError, match="every phase at zero"):
-        Simulation(cfg)
-
-
 def test_construction_leaves_topology_tables_uncompiled():
     # set-up time stays flat: the tables are compiled by the first step
-    for form, sim, _ in each_level1_form(grid_config(q=0.1, horizon=5)):
+    for form, sim, _ in alone_and_in_batch(grid_config(q=0.1, horizon=5)):
         assert "tables" not in vars(sim.topology), form
         sim.step()
         assert "tables" in vars(sim.topology), form
@@ -235,7 +229,7 @@ def _ref_kwargs(cfg: SimConfig) -> dict:
 
 def _lockstep(cfg: SimConfig, steps: int) -> None:
     nodes = cfg.topology.n_intersections
-    for form, sim, r in each_level1_form(cfg, check_invariants=True):
+    for form, sim, r in alone_and_in_batch(cfg, check_invariants=True):
         ref = RefSim(cfg.topology, **_ref_kwargs(cfg))
         for t in range(steps):
             sim.step()
@@ -322,9 +316,33 @@ def test_network_without_intersections_runs(strategy, split):
 
 
 def test_invariant_checking_runs_clean():
-    for _, sim, _ in each_level1_form(grid_config(q=0.2, horizon=150, seed=8), True):
+    for _, sim, _ in alone_and_in_batch(grid_config(q=0.2, horizon=150, seed=8), True):
         for _ in range(150):
             sim.step()
+
+
+def test_verify_names_a_node_with_a_bad_phase_or_elapsed_time():
+    sim = Simulation(grid_config(q=0.2, horizon=5, seed=8), check_invariants=True)
+    sim.step()
+    pi, tau = sim.node_states.pi, sim.node_states.tau
+    # every grid node has two phases; a negative phase is out of range too
+    bad_pi = pi.copy()
+    bad_pi[[3, 4]] = (2, -1)
+    sim.node_states = Level3State(bad_pi, tau)
+    with pytest.raises(SimulationError) as err:
+        sim._verify()
+    assert str(err.value) == (
+        "step 1: intersection 3: active phase 2 out of range; "
+        "intersection 4: active phase -1 out of range"
+    )
+    bad_tau = tau.copy()
+    bad_tau[5] = -1
+    sim.node_states = Level3State(pi, bad_tau)
+    with pytest.raises(SimulationError) as err:
+        sim._verify()
+    assert str(err.value) == "step 1: intersection 5: negative elapsed time -1"
+    sim.node_states = Level3State(pi, tau)
+    sim._verify()
 
 
 def test_ring_keeps_its_vehicles():
@@ -421,7 +439,7 @@ def _trace_bytes(cfg: SimConfig, tmp_path) -> bytes:
     path = tmp_path / "trace.csv"
     run(cfg, trace=str(path))
     alone = path.read_bytes()
-    _, sim, r = list(each_level1_form(cfg))[1]
+    _, sim, r = list(alone_and_in_batch(cfg))[1]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(trace_columns(cfg.topology))

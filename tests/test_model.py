@@ -13,6 +13,7 @@ from hcasim import (
     NetworkTopology,
     SimConfig,
     config_digest,
+    grid_config,
     topology_digest,
     validate_topology,
 )
@@ -65,6 +66,16 @@ def test_config_accepts_defaults(cross):
 def test_config_rejects_bad_values(cross, kwargs, fragment):
     with pytest.raises(ConfigError, match=fragment):
         SimConfig(topology=cross, **kwargs)
+
+
+def test_fixed_time_split_must_cover_some_phase():
+    # split (0, 0, 5): a 2-phase node only ever reads entries 0 and 1, both zero
+    message = "intersection 0: fixed_time_split leaves every phase at zero"
+    with pytest.raises(ConfigError, match=message):
+        grid_config(strategy="fixed_time", fixed_time_split=(0, 0, 5))
+    # the 3-phase node 0 reads the 5; the 2-phase node 1 does not
+    with pytest.raises(ConfigError, match="intersection 1: "):
+        SimConfig(mixed_phase_topology(), strategy="fixed_time", fixed_time_split=(0, 0, 5))
 
 
 def test_resolved_intensities_fill_q(cross):

@@ -16,13 +16,12 @@ from hcasim import (
     SimConfig,
     SimulationError,
 )
-from hcasim.model import IntersectionState
+from hcasim.model import IntersectionState, Level3State
 from hcasim.signals import (
     AdaptiveSelector,
     FixedTimeSelector,
     controller_strategy,
     coordination_priority,
-    select_phase,
 )
 from conftest import cross_topology
 from netgen import random_topology
@@ -33,6 +32,16 @@ def _node(phases, neighbors=(), compat=()):
     return IntersectionDescriptor(inbound, tuple(phases), tuple(neighbors), frozenset(compat))
 
 
+def _adaptive(nodes, backlog, states, alpha=0.0, min_green=0):
+    """One step of the adaptive selector over ``nodes``, on a network without lanes."""
+    topo = NetworkTopology((), tuple(nodes), ())
+    return AdaptiveSelector(alpha, min_green).select(topo, backlog, Level3State.of(states))
+
+
+# node 0, the upstream neighbor of a node under test placed after it as node 1
+_UPSTREAM = _node([(0,), (1,)])
+
+
 # --- phase pressure -------------------------------------------------------
 
 
@@ -40,8 +49,8 @@ def test_select_scores_three_lane_phase_left_to_right():
     # phase 0 scores 0.6000000000000001 and strictly beats the incumbent's
     # 0.6; under a compensated sum the two would tie and the incumbent stay
     node = _node([(0, 1, 2), (3,)])
-    out = select_phase(node, [0.1, 0.2, 0.3, 0.6], [], IntersectionState(1, 4), alpha=0.0)
-    assert out == IntersectionState(0, 0)
+    out = _adaptive([node], [0.1, 0.2, 0.3, 0.6], [IntersectionState(1, 4)])
+    assert list(out) == [IntersectionState(0, 0)]
 
 
 # --- coordination score from one neighbor ---------------------------------
@@ -141,57 +150,55 @@ def test_coordination_table_matches_brute_force(seed, data):
             assert coordination_priority(node, phase, states) == max(raw + [0])
 
 
-# --- single-node phase selection -------------------------------------------
+# --- phase selection at one node -------------------------------------------
 
 
 def test_select_pure_pressure_argmax():
     node = _node([(0,), (1,)])
-    out = select_phase(node, [3.0, 7.0], [], IntersectionState(0, 5), alpha=0.0)
-    assert out == IntersectionState(1, 0)
+    out = _adaptive([node], [3.0, 7.0], [IntersectionState(0, 5)])
+    assert list(out) == [IntersectionState(1, 0)]
 
 
 def test_select_alpha_flips_decision():
     # coordination favors phase 0 (neighbor green for 30 of travel time 20),
     # pressure favors phase 1; the weight decides which wins
     node = _node([(0,), (1,)], neighbors=((0, 20),), compat={(0, 0, 0)})
-    nbr = [IntersectionState(0, 30)]
+    states = [IntersectionState(0, 30), IntersectionState(1, 4)]
     backlog = [3.0, 7.0]
-    cur = IntersectionState(1, 4)
-    assert select_phase(node, backlog, nbr, cur, alpha=0.0) == IntersectionState(1, 5)
+    assert _adaptive([_UPSTREAM, node], backlog, states, alpha=0.0)[1] == IntersectionState(1, 5)
     # 3 + 1*10 = 13 > 7
-    assert select_phase(node, backlog, nbr, cur, alpha=1.0) == IntersectionState(0, 0)
+    assert _adaptive([_UPSTREAM, node], backlog, states, alpha=1.0)[1] == IntersectionState(0, 0)
 
 
 def test_select_tie_keeps_incumbent():
     node = _node([(0,), (1,)])
-    out = select_phase(node, [5.0, 5.0], [], IntersectionState(1, 7), alpha=0.0)
-    assert out == IntersectionState(1, 8)
+    out = _adaptive([node], [5.0, 5.0], [IntersectionState(1, 7)])
+    assert list(out) == [IntersectionState(1, 8)]
 
 
 def test_select_tie_without_incumbent_takes_lowest_index():
     node = _node([(0,), (1,), (2,)])
-    out = select_phase(node, [5.0, 5.0, 3.0], [], IntersectionState(2, 9), alpha=0.0)
-    assert out == IntersectionState(0, 0)
+    out = _adaptive([node], [5.0, 5.0, 3.0], [IntersectionState(2, 9)])
+    assert list(out) == [IntersectionState(0, 0)]
 
 
 def test_select_min_green_holds_incumbent_unscored():
     node = _node([(0,), (1,)])
-    cur = IntersectionState(0, 2)
-    out = select_phase(node, [0.0, 100.0], [], cur, alpha=0.0, min_green=5)
-    assert out == IntersectionState(0, 3)
+    out = _adaptive([node], [0.0, 100.0], [IntersectionState(0, 2)], min_green=5)
+    assert list(out) == [IntersectionState(0, 3)]
     # once the hold expires the pressure difference takes over
-    out = select_phase(node, [0.0, 100.0], [], IntersectionState(0, 5), alpha=0.0, min_green=5)
-    assert out == IntersectionState(1, 0)
+    out = _adaptive([node], [0.0, 100.0], [IntersectionState(0, 5)], min_green=5)
+    assert list(out) == [IntersectionState(1, 0)]
 
 
 def test_select_tau_counts_steps_since_activation():
     node = _node([(0,), (1,)])
-    st_ = IntersectionState(0, 0)
+    states = [IntersectionState(0, 0)]
     for expect_tau in (1, 2, 3):
-        st_ = select_phase(node, [9.0, 1.0], [], st_, alpha=0.0)
-        assert st_ == IntersectionState(0, expect_tau)
-    st_ = select_phase(node, [1.0, 9.0], [], st_, alpha=0.0)
-    assert st_ == IntersectionState(1, 0)
+        states = _adaptive([node], [9.0, 1.0], states)
+        assert list(states) == [IntersectionState(0, expect_tau)]
+    states = _adaptive([node], [1.0, 9.0], states)
+    assert list(states) == [IntersectionState(1, 0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,7 +208,7 @@ def test_select_tau_counts_steps_since_activation():
 )
 def test_select_result_always_a_maximum(backlog, incumbent):
     node = _node([(0,), (1,), (2,)])
-    out = select_phase(node, backlog, [], IntersectionState(incumbent, 1), alpha=0.0)
+    (out,) = _adaptive([node], backlog, [IntersectionState(incumbent, 1)])
     best = max(backlog)
     assert backlog[out.pi] == best
     # the incumbent is abandoned only when it is strictly beaten
@@ -222,11 +229,10 @@ def test_alpha_influence_is_monotone(p0, p1, tau, lo, hi):
     # decision toward phase 0, never away from it
     if lo > hi:
         lo, hi = hi, lo
-    node = _node([(0,), (1,)], neighbors=((0, 20),), compat={(0, 0, 0)})
-    nbr = [IntersectionState(0, tau)]
-    cur = IntersectionState(1, 3)
-    at_lo = select_phase(node, [p0, p1], nbr, cur, alpha=lo)
-    at_hi = select_phase(node, [p0, p1], nbr, cur, alpha=hi)
+    nodes = [_UPSTREAM, _node([(0,), (1,)], neighbors=((0, 20),), compat={(0, 0, 0)})]
+    states = [IntersectionState(0, tau), IntersectionState(1, 3)]
+    at_lo = _adaptive(nodes, [p0, p1], states, alpha=lo)[1]
+    at_hi = _adaptive(nodes, [p0, p1], states, alpha=hi)[1]
     if at_lo.pi == 0:
         assert at_hi.pi == 0
 
@@ -254,7 +260,7 @@ def test_thousand_pressure_instances_match_oracle():
         want = incumbent if sums[incumbent] == best else sums.index(best)
         want_tau = tau + 1 if want == incumbent else 0
 
-        got = select_phase(node, backlog, [], IntersectionState(incumbent, tau), alpha=0.0)
+        (got,) = _adaptive([node], backlog, [IntersectionState(incumbent, tau)])
         assert (got.pi, got.tau) == (want, want_tau)
 
 
@@ -451,9 +457,8 @@ def test_adaptive_kernel_matches_scalar_oracle(case, alpha, min_green):
     want = _oracle_adaptive(topo, backlog, states, alpha, min_green)
     got = AdaptiveSelector(alpha, min_green).select(topo, backlog, states)
     assert list(got) == want
-    # the one-node wrappers run the same kernel
-    for node, current, expect in zip(topo.intersections, states, want):
-        assert select_phase(node, backlog, states, current, alpha, min_green) == expect
+    # the one-node coordination_priority runs the same kernel
+    for node in topo.intersections:
         prio = [coordination_priority(node, ph, states) for ph in range(len(node.phases))]
         assert prio == _oracle_priorities(node, states)
 

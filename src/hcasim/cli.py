@@ -82,12 +82,17 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
     """The --scenario configuration with every flag that was given applied.
 
     Run and job counts and output paths are checked here too, so every bad
-    flag is reported (exit 2) before a simulation starts.
+    flag is reported (exit 2) before a simulation starts.  ``--jobs`` above
+    the core count is cut to it, with a note on stderr.
     """
     for flag in ("runs", "jobs"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ConfigError(f"--{flag} {value}: must be >= 1")
+    cores = os.cpu_count() or 1
+    if getattr(args, "jobs", None) is not None and args.jobs > cores:
+        print(f"note: --jobs {args.jobs} > {cores} cores: using {cores} workers", file=sys.stderr)
+        args.jobs = cores
     outputs = [(f"--{flag}", getattr(args, flag, None)) for flag in ("out", "trace")]
     if getattr(args, "runs", None) is not None:  # sweep and compare write a meta file too
         outputs.append((f"--out {args.out}: meta file", f"{args.out}.meta.json"))

@@ -66,40 +66,35 @@ class MetricsRecord:
 
 
 class Simulation:
-    """Owns the mutable state of one run and advances it step by step.
+    """Owns the mutable state of a run and advances it step by step.
 
-    :meth:`batch` builds one simulation of several seeds instead: the runs
+    With ``seeds`` it is the runs of ``config`` at each seed instead: they
     step together on a network of disjoint copies of the topology, one copy
-    and one :class:`RngStream` per seed.
+    and one :class:`RngStream` per seed, and :meth:`records` equal those of
+    the runs alone.
     """
 
-    def __init__(self, config: SimConfig, check_invariants: bool = False):
-        self._start(config, (config.seed,), check_invariants)
-
-    @classmethod
-    def batch(
-        cls, config: SimConfig, seeds: Sequence[int], check_invariants: bool = False
-    ) -> "Simulation":
-        """The runs of ``config`` at each of ``seeds``, as one simulation whose
-        :meth:`records` equal those of the runs alone."""
-        sim = cls.__new__(cls)
-        sim._start(config, seeds, check_invariants)
-        return sim
-
-    def _start(self, config: SimConfig, seeds: Sequence[int], check_invariants: bool) -> None:
+    def __init__(
+        self,
+        config: SimConfig,
+        check_invariants: bool = False,
+        *,
+        seeds: Sequence[int] | None = None,
+    ):
+        seeds = (config.seed,) if seeds is None else tuple(seeds)
+        if not seeds:
+            raise ValueError("seeds=(): must name at least one seed")
         report = validate_topology(config.topology)
         if report:
             raise ConfigError("invalid topology: " + "; ".join(report))
         replicas = len(seeds)
         self.config = config
-        self.seeds = tuple(seeds)
+        self.seeds = seeds
         self.topology = replicate(config.topology, replicas)
         self.check_invariants = check_invariants
-        self.state = Level1Arrays.empty(self.topology, replicas)
+        self.state = Level1Arrays(self.topology, replicas)
         self.rngs = [RngStream(seed) for seed in seeds]
-        self.injector = InjectionProcess(
-            self.topology, config.resolved_intensities() * replicas, replicas
-        )
+        self.injector = InjectionProcess(self.topology, config.resolved_intensities(), replicas)
         self.selector = controller_strategy(config)
         n_nodes = self.topology.n_intersections
         self.node_states = Level3State(
@@ -209,8 +204,8 @@ def run(
 
 def run_seeds(config: SimConfig, seeds: Sequence[int]) -> list[MetricsRecord]:
     """``run(replace(config, seed=s))`` for each of ``seeds``, stepped as one
-    :meth:`Simulation.batch`."""
-    sim = Simulation.batch(config, seeds)
+    :class:`Simulation`."""
+    sim = Simulation(config, seeds=seeds)
     for _ in range(config.horizon):
         sim.step()
     return sim.records()

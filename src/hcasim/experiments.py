@@ -105,6 +105,12 @@ def welch_one_sided(
     return t, float(student_t.sf(t, df))
 
 
+def _check_counts(runs: int, jobs: int) -> None:
+    for name, count in (("runs", runs), ("jobs", jobs)):
+        if count < 1:
+            raise ValueError(f"{name}={count}: must be >= 1")
+
+
 def run_many(
     config: SimConfig,
     runs: int,
@@ -119,8 +125,7 @@ def run_many(
     many worker processes when there are two or more.  Records come back in
     seed order and equal those of single runs.
     """
-    if runs < 1:
-        raise ValueError(f"runs={runs}: must be >= 1")
+    _check_counts(runs, jobs)
     seed0 = config.seed if base_seed is None else base_seed
     workers = min(jobs, runs)
     cuts = [seed0 + runs * k // workers for k in range(workers + 1)]
@@ -158,8 +163,10 @@ def _run_cells(
 
     Each cell runs ``runs`` seeds from its config's ``seed``, which all
     cells share, so rows are paired across variants.  A failed cell raises
-    :class:`SweepError` carrying the rows finished before it.
+    :class:`SweepError` carrying the rows finished before it; a bad run or
+    job count raises :class:`ValueError` before the first cell.
     """
+    _check_counts(runs, jobs)
     rows: list[SweepResult] = []
     for variant, cfg in cells:
         try:

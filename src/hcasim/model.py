@@ -240,14 +240,10 @@ class Level1Arrays:
 
     __slots__ = ("data", "lane_lengths", "replicas")
 
-    def __init__(self, lane_lengths: list[int], replicas: int = 1):
-        self.lane_lengths = np.array(lane_lengths, dtype=np.intp)
+    def __init__(self, topology: NetworkTopology, replicas: int = 1):
+        self.lane_lengths = np.array([lane.length for lane in topology.lanes], dtype=np.intp)
         self.replicas = replicas
         self.data = np.empty((4, 0), dtype=np.intp)
-
-    @classmethod
-    def empty(cls, topology: NetworkTopology, replicas: int = 1) -> "Level1Arrays":
-        return cls([lane.length for lane in topology.lanes], replicas)
 
     def replica_of(self, lanes: np.ndarray) -> np.ndarray:
         """The copy each of ``lanes`` belongs to."""

@@ -195,16 +195,16 @@ class InjectionProcess:
     def __init__(
         self, topology: NetworkTopology, intensities: Sequence[float], replicas: int = 1
     ):
-        if len(intensities) != len(topology.entry_points):
+        if len(intensities) * replicas != len(topology.entry_points):
             raise ValueError(
-                f"{len(intensities)} intensities for "
-                f"{len(topology.entry_points)} entry points"
+                f"{len(intensities)} intensities per copy x {replicas} "
+                f"for {len(topology.entry_points)} entry points"
             )
         self.topology = topology
-        self.intensities = np.array(intensities, dtype=float)
-        self.pending = np.zeros(len(intensities), dtype=np.intp)
-        # replica r's entries are the r-th of ``replicas`` equal blocks
-        self.entries_per_replica = len(intensities) // replicas
+        # one copy's intensities, tiled: replica r's entries are the r-th block
+        self.intensities = np.tile(np.array(intensities, dtype=float), replicas)
+        self.pending = np.zeros(len(topology.entry_points), dtype=np.intp)
+        self.entries_per_replica = len(intensities)
         self.next_id = np.zeros(replicas, dtype=np.intp)
 
     def inject(self, state: Level1Arrays, rngs: Sequence[RngStream]) -> None:

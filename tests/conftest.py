@@ -138,7 +138,7 @@ def ring_simulation(n: int, length: int = 100, **fields) -> Simulation:
 def state_with(topology: NetworkTopology, *vehicles) -> Level1Arrays:
     """Level-1 state holding the given (lane, cell, speed) vehicles, numbered
     0, 1, ... in argument order."""
-    state = Level1Arrays.empty(topology)
+    state = Level1Arrays(topology)
     columns = sorted(
         ((lane, cell, speed, vid) for vid, (lane, cell, speed) in enumerate(vehicles)),
         key=lambda col: (col[0], -col[1]),
@@ -162,7 +162,7 @@ def alone_and_in_batch(config: SimConfig, check_invariants: bool = False):
     of a batch of three seeds; ``sim.step()`` advances it."""
     yield "alone", Simulation(config, check_invariants), 0
     seeds = (config.seed + 1, config.seed, config.seed + 2)
-    yield "replica 1 of 3", Simulation.batch(config, seeds, check_invariants), 1
+    yield "replica 1 of 3", Simulation(config, check_invariants, seeds=seeds), 1
 
 
 def replica_view(sim: Simulation, replica: int):

@@ -101,6 +101,19 @@ def test_run_many_positional_signature():
     assert params == ["config", "runs", "base_seed", "jobs", "on_result"]
 
 
+def test_simulation_signature_and_its_one_seed_default():
+    # child.py times Simulation(config); tests pass check_invariants second
+    params = inspect.signature(Simulation.__init__).parameters
+    assert list(params) == ["self", "config", "check_invariants", "seeds"]
+    assert params["seeds"].kind is inspect.Parameter.KEYWORD_ONLY
+    cfg = grid_config(q=0.2, horizon=30, seed=4)
+    sims = [Simulation(cfg), Simulation(cfg, seeds=(cfg.seed,))]
+    for sim in sims:
+        for _ in range(cfg.horizon):
+            sim.step()
+    assert sims[0].records() == sims[1].records()
+
+
 def test_traced_selection_signatures():
     # the tracer rebinds coordination_priority with a wrapper of these
     # parameters and reads select's states as args[3]

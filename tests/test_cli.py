@@ -146,6 +146,27 @@ def test_nonpositive_jobs_is_config_error(argv, capsys, no_runs):
     assert f"--jobs {argv[-1]}: must be >= 1" in capsys.readouterr().err
 
 
+def test_jobs_above_the_core_count_is_capped_with_a_note(tmp_path, monkeypatch, capsys):
+    import os
+
+    import hcasim.experiments
+    from hcasim import MetricsRecord
+
+    calls = []
+
+    def recording(config, runs, base_seed=None, jobs=1, on_result=None):
+        calls.append(jobs)
+        return [MetricsRecord(10 + i, 0, 0, 0, 5, config.seed + i, "") for i in range(runs)]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(hcasim.experiments, "run_many", recording)
+    argv = ["compare", "--q-list", "0.1", "--steps", "5", "--runs", "2", "--jobs", "3",
+            "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    assert calls == [2, 2]
+    assert "note: --jobs 3 > 2 cores: using 2 workers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, value, fragment",
     [

@@ -66,7 +66,7 @@ def test_count_stopped_skips_ids_placed_this_step(cross):
 
 def test_count_stopped_per_replica_with_its_own_new_ids(cross):
     # lanes 0-3 are replica 0, lanes 4-7 replica 1; ids count per replica
-    state = Level1Arrays.empty(replicate(cross, 2), replicas=2)
+    state = Level1Arrays(replicate(cross, 2), replicas=2)
     state.data = np.array([[0, 4, 5, 6], [2, 2, 4, 9], [0, 0, 0, 1], [0, 0, 1, 2]])
     assert count_stopped(state, first_new_id=[1, 1]).tolist() == [1, 1]
     assert count_stopped(state, first_new_id=[0, 2]).tolist() == [0, 2]
@@ -80,6 +80,18 @@ def test_simulation_rejects_invalid_topology(cross):
     object.__setattr__(bad, "topology", None)
     with pytest.raises((ConfigError, TypeError, AttributeError)):
         Simulation(bad)
+
+
+def test_empty_seed_list_is_rejected_before_any_state(cross):
+    bad = SimConfig(cross)
+    object.__setattr__(bad, "topology", None)  # not validated: seeds are checked first
+    with pytest.raises(ValueError, match="seeds"):
+        Simulation(bad, seeds=[])
+
+
+def test_run_seeds_rejects_an_empty_seed_list(cross):
+    with pytest.raises(ValueError, match="seeds"):
+        run_seeds(SimConfig(cross), [])
 
 
 def test_construction_leaves_topology_tables_uncompiled():

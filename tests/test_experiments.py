@@ -174,6 +174,34 @@ def test_run_many_rejects_zero_runs():
         run_many(_tiny(), 0)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_many_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(ValueError, match=f"jobs={jobs}: must be >= 1"):
+        run_many(_tiny(), 2, jobs=jobs)
+
+
+EXPERIMENTS = {
+    "sweep": lambda runs, jobs: sweep_alpha(_tiny(), [0.0], runs, "x", jobs),
+    "compare": lambda runs, jobs: compare_strategies(_tiny(), [0.1], runs, "x", jobs),
+}
+
+
+@pytest.mark.parametrize("runs, jobs, bad", [(0, 1, "runs=0"), (2, 0, "jobs=0")])
+@pytest.mark.parametrize("experiment", EXPERIMENTS.values(), ids=EXPERIMENTS)
+def test_experiments_reject_bad_counts_before_the_first_cell(
+    monkeypatch, experiment, runs, jobs, bad
+):
+    # a bad count is the caller's error, not a failed cell with no partial rows
+    import hcasim.experiments as mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell started")
+
+    monkeypatch.setattr(mod, "run_many", refuse)
+    with pytest.raises(ValueError, match=f"{bad}: must be >= 1"):
+        experiment(runs, jobs)
+
+
 def test_run_many_parallel_equals_serial():
     serial = run_many(_tiny(), 4, jobs=1)
     parallel = run_many(_tiny(), 4, jobs=2)

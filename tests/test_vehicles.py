@@ -261,7 +261,7 @@ def test_sweep_raises_on_corrupted_exit_vehicle(cross):
 
 def test_injection_places_at_entry_at_speed_zero(cross):
     inj = InjectionProcess(cross, (1.0, 0.0))
-    state = Level1Arrays.empty(cross)
+    state = Level1Arrays(cross)
     inj.inject(state, [RngStream(0)])
     assert _vehicles(state, 0) == [(0, 0, 0)]
     assert inj.next_id.sum() == 1
@@ -275,7 +275,7 @@ def test_injection_backlog_waits_for_free_cell(cross):
     assert inj.pending.sum() == 1
     assert inj.next_id.sum() == 0
     # cell frees up: exactly one pending arrival is placed per step
-    state = Level1Arrays.empty(cross)
+    state = Level1Arrays(cross)
     inj.inject(state, [RngStream(1)])
     assert inj.next_id.sum() == 1
     assert _vehicles(state, 0) == [(0, 0, 0)]
@@ -288,7 +288,7 @@ def test_injection_one_draw_per_entry_per_step(cross):
     inj_full = InjectionProcess(cross, (1.0, 1.0))
     inj_none = InjectionProcess(cross, (0.0, 0.0))
     rng_a, rng_b = RngStream(9), RngStream(9)
-    state_a, state_b = Level1Arrays.empty(cross), Level1Arrays.empty(cross)
+    state_a, state_b = Level1Arrays(cross), Level1Arrays(cross)
     for _ in range(5):
         inj_full.inject(state_a, [rng_a])
         inj_none.inject(state_b, [rng_b])
@@ -301,7 +301,7 @@ def test_injection_dest_on_exit_entry():
     lanes = (LaneDescriptor(6, None, None),)
     topo = NetworkTopology(lanes, (), ((0, 0),))
     inj = InjectionProcess(topo, (1.0,))
-    state = Level1Arrays.empty(topo)
+    state = Level1Arrays(topo)
     inj.inject(state, [RngStream(0)])
     rng = RngStream(0)
     # a network-exit lane reads green under every phase

@@ -93,7 +93,10 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
     if getattr(args, "jobs", None) is not None and args.jobs > cores:
         print(f"note: --jobs {args.jobs} > {cores} cores: using {cores} workers", file=sys.stderr)
         args.jobs = cores
-    outputs = [(f"--{flag}", getattr(args, flag, None)) for flag in ("out", "trace")]
+    out, trace = getattr(args, "out", None), getattr(args, "trace", None)
+    outputs = [("--out", out), ("--trace", trace)]
+    if out is not None and trace is not None and os.path.realpath(out) == os.path.realpath(trace):
+        raise ConfigError(f"--out {out} and --trace {trace}: the same file")
     if getattr(args, "runs", None) is not None:  # sweep and compare write a meta file too
         outputs.append((f"--out {args.out}: meta file", f"{args.out}.meta.json"))
     for label, path in outputs:

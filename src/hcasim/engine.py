@@ -31,6 +31,7 @@ from .model import (
     NetworkTopology,
     SimConfig,
     SimulationError,
+    check_integer,
     check_level1,
     config_digest,
     replicate,
@@ -84,6 +85,8 @@ class Simulation:
         seeds = (config.seed,) if seeds is None else tuple(seeds)
         if not seeds:
             raise ValueError("seeds=(): must name at least one seed")
+        for i, seed in enumerate(seeds):
+            check_integer(f"seeds[{i}]", seed, 0)
         report = validate_topology(config.topology)
         if report:
             raise ConfigError("invalid topology: " + "; ".join(report))
@@ -166,11 +169,6 @@ class Simulation:
             )
         ]
 
-    def metrics(self) -> MetricsRecord:
-        """End-of-run summary of a simulation of one seed."""
-        (record,) = self.records()
-        return record
-
 
 def _write_trace_row(writer, sim: Simulation) -> None:
     # Fixed decimal formatting keeps traces byte-comparable across platforms.
@@ -199,7 +197,8 @@ def run(
             sim.step()
             if writer is not None:
                 _write_trace_row(writer, sim)
-    return sim.metrics()
+    (record,) = sim.records()
+    return record
 
 
 def run_seeds(config: SimConfig, seeds: Sequence[int]) -> list[MetricsRecord]:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence, get_type_hints
 
 from . import __version__
 from .engine import MetricsRecord, run_seeds
-from .model import ConfigError, SimConfig, config_digest
+from .model import ConfigError, SimConfig, check_integer, config_digest
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,7 @@ def run_many(
     """
     _check_counts(runs, jobs)
     seed0 = config.seed if base_seed is None else base_seed
+    check_integer("base_seed", seed0, 0)
     workers = min(jobs, runs)
     cuts = [seed0 + runs * k // workers for k in range(workers + 1)]
     batches = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -255,18 +256,14 @@ def summarize_comparison(rows: Sequence[SweepResult]) -> list[ComparisonRow]:
     return out
 
 
-def _columns(row_type: type) -> list[tuple[str, type]]:
-    hints = get_type_hints(row_type)
-    return [(f.name, hints[f.name]) for f in fields(row_type)]
-
-
 def _write_rows(path: str, row_type: type, rows: Sequence) -> None:
     """One CSV row per record, the header taken from the dataclass fields.
 
     Float fields get fixed six-decimal formatting, so equal results give
     equal bytes; int and str fields are written as they are.
     """
-    cols = _columns(row_type)
+    hints = get_type_hints(row_type)
+    cols = [(f.name, hints[f.name]) for f in fields(row_type)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(name for name, _ in cols)
@@ -277,34 +274,14 @@ def _write_rows(path: str, row_type: type, rows: Sequence) -> None:
             )
 
 
-def _read_rows(path: str, row_type: type) -> list:
-    """Parse a file written by :func:`_write_rows`; a foreign header is an error."""
-    cols = _columns(row_type)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != [name for name, _ in cols]:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        return [row_type(**{name: kind(rec[name]) for name, kind in cols}) for rec in reader]
-
-
 def write_sweep_csv(path: str, rows: Sequence[SweepResult]) -> None:
     """Write sweep rows with fixed six-decimal formatting (stable bytes)."""
     _write_rows(path, SweepResult, rows)
 
 
-def read_sweep_csv(path: str) -> list[SweepResult]:
-    """Parse a file written by :func:`write_sweep_csv`."""
-    return _read_rows(path, SweepResult)
-
-
 def write_compare_csv(path: str, rows: Sequence[ComparisonRow]) -> None:
     """Write paired comparison rows with fixed six-decimal formatting."""
     _write_rows(path, ComparisonRow, rows)
-
-
-def read_compare_csv(path: str) -> list[ComparisonRow]:
-    """Parse a file written by :func:`write_compare_csv`."""
-    return _read_rows(path, ComparisonRow)
 
 
 def write_metrics_csv(path: str, records: Sequence[MetricsRecord]) -> None:

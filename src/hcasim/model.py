@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Sequence
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -268,12 +268,12 @@ class IntersectionState:
     tau: int
 
 
-class Level3State(Sequence):
+class Level3State:
     """Intersection-level state of every node as two int arrays.
 
     ``pi[i]`` is node ``i``'s active phase and ``tau[i]`` the steps since it
-    came up.  Indexing and iteration give :class:`IntersectionState` views
-    built on access; the selectors read and write the arrays.
+    came up.  The selectors read and write the arrays; iteration gives
+    :class:`IntersectionState` views built on access.
     """
 
     __slots__ = ("pi", "tau")
@@ -293,15 +293,21 @@ class Level3State(Sequence):
             np.array([s.tau for s in states], dtype=np.intp),
         )
 
-    def __len__(self) -> int:
-        return len(self.pi)
-
-    def __getitem__(self, i: int) -> IntersectionState:
-        return IntersectionState(int(self.pi[i]), int(self.tau[i]))
-
     def __iter__(self) -> Iterator[IntersectionState]:
         for pi, tau in zip(self.pi.tolist(), self.tau.tolist()):
             yield IntersectionState(pi, tau)
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is an
+    integer of at least ``minimum``; numpy integers count, as anything
+    ``operator.index`` takes does."""
+    try:
+        ok = operator.index(value) >= minimum
+    except TypeError:
+        raise ConfigError(f"{name}: {value!r} is not an integer") from None
+    if not ok:
+        raise ConfigError(f"{name}={value}: must be >= {minimum}")
 
 
 _STRATEGIES = ("backpressure", "hca", "fixed_time")
@@ -332,22 +338,20 @@ class SimConfig:
     fixed_time_split: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.v_max < 1:
-            raise ConfigError(f"v_max={self.v_max}: must be >= 1")
+        check_integer("v_max", self.v_max, 1)
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p={self.p}: probability out of range [0, 1]")
         if not 0.0 <= self.q <= 1.0:
             raise ConfigError(f"q={self.q}: probability out of range [0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ConfigError(f"alpha={self.alpha}: must be >= 0 and finite")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon={self.horizon}: must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed={self.seed}: must be >= 0")
-        if self.min_green < 0:
-            raise ConfigError(f"min_green={self.min_green}: must be >= 0")
-        if self.stop_window is not None and self.stop_window < 1:
-            raise ConfigError(f"stop_window={self.stop_window}: must be >= 1")
+        check_integer("horizon", self.horizon, 1)
+        check_integer("seed", self.seed, 0)
+        check_integer("min_green", self.min_green, 0)
+        if self.stop_window is not None:
+            check_integer("stop_window", self.stop_window, 1)
+        for j, green in enumerate(self.fixed_time_split or ()):
+            check_integer(f"fixed_time_split[{j}]", green, 0)
         if self.strategy not in _STRATEGIES:
             raise ConfigError(
                 f"strategy={self.strategy!r}: expected one of {', '.join(_STRATEGIES)}"
@@ -359,7 +363,7 @@ class SimConfig:
                 )
         if self.strategy == "fixed_time":
             split = self.fixed_time_split
-            if not split or any(s < 0 for s in split) or sum(split) == 0:
+            if not split or sum(split) == 0:
                 raise ConfigError(
                     "fixed_time strategy needs a fixed_time_split with a positive total"
                 )

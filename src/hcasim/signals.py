@@ -86,11 +86,10 @@ class AdaptiveSelector:
         self,
         topology: NetworkTopology,
         backlog: Sequence[float],
-        states: Sequence[IntersectionState],
+        states: Level3State,
     ) -> Level3State:
         # `states` is the previous step's snapshot for every node, so all
         # intersections decide against the same picture.
-        states = Level3State.of(states)
         tables = topology.tables
         padded = np.concatenate((backlog, _PAD))  # padding lane -1 reads a backlog of 0.0
         scores = tables.phase_base.copy()
@@ -143,12 +142,11 @@ class FixedTimeSelector:
         self,
         topology: NetworkTopology,
         backlog: Sequence[float],
-        states: Sequence[IntersectionState],
+        states: Level3State,
     ) -> Level3State:
         if self._plan is None or self._plan[0] is not topology:
             self._plan = (topology, *self._compile(topology))
         _, duration, following = self._plan
-        states = Level3State.of(states)
         pi, tau = states.pi, states.tau
         rows = np.arange(len(pi))
         # a phase with green time G is active for tau = 0 .. G-1

@@ -227,6 +227,16 @@ def test_output_naming_a_directory_is_config_error(argv, capsys, no_runs):
     assert "config error" in err and ": is a directory" in err
 
 
+@pytest.mark.parametrize("trace", ["m.csv", "./m.csv", "link.csv"])
+def test_out_and_trace_naming_one_file_is_config_error(trace, tmp_path, capsys, no_runs):
+    # the trace would overwrite the metrics row, or the row the trace
+    (tmp_path / "link.csv").symlink_to(tmp_path / "m.csv")
+    assert main(["run", "--steps", "5", "--out", "m.csv", "--trace", trace]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --out m.csv and --trace {trace}: the same file" in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("argv", _sweep_and_compare("--runs", "1", "--jobs", "1", "--out", "x.csv"))
 def test_meta_path_naming_a_directory_is_config_error(argv, tmp_path, capsys, no_runs):
     (tmp_path / "x.csv.meta.json").mkdir()

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import random
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -87,6 +88,15 @@ def test_empty_seed_list_is_rejected_before_any_state(cross):
     object.__setattr__(bad, "topology", None)  # not validated: seeds are checked first
     with pytest.raises(ValueError, match="seeds"):
         Simulation(bad, seeds=[])
+    # so is a seed numpy's SeedSequence would refuse
+    for seeds, message in (
+        ([-1], "seeds[0]=-1: must be >= 0"),
+        ([3, 1.5], "seeds[1]: 1.5 is not an integer"),
+        (["7"], "seeds[0]: '7' is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Simulation(bad, seeds=seeds)
+    Simulation(SimConfig(cross), seeds=[np.int64(0), np.uint8(5)])
 
 
 def test_run_seeds_rejects_an_empty_seed_list(cross):
@@ -364,7 +374,7 @@ def test_ring_keeps_its_vehicles():
     for _ in range(200):
         sim.step()
         assert sim.gamma[:2].tolist() == [1, 1]  # the ring never sees red
-    rec = sim.metrics()
+    (rec,) = sim.records()
     assert (rec.vehicles_injected, rec.vehicles_removed, rec.vehicles_in_network) == (60, 0, 60)
     assert sorted(sim.state.data[3].tolist()) == list(range(60))
 

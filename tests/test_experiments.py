@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import hypothesis.strategies as st
 import pytest
@@ -31,8 +33,6 @@ from hcasim import (
     welch_one_sided,
 )
 from hcasim.experiments import (
-    read_compare_csv,
-    read_sweep_csv,
     write_compare_csv,
     write_meta,
     write_metrics_csv,
@@ -172,6 +172,20 @@ def test_run_many_explicit_base_seed():
 def test_run_many_rejects_zero_runs():
     with pytest.raises(ValueError, match="runs=0"):
         run_many(_tiny(), 0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_many_rejects_a_bad_base_seed_before_any_run(monkeypatch, jobs):
+    import hcasim.experiments as mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run or a pool started")
+
+    monkeypatch.setattr(mod, "run_seeds", refuse)
+    monkeypatch.setattr(mod, "ProcessPoolExecutor", refuse)
+    for base_seed, message in ((-2, "base_seed=-2: must be >= 0"), (0.5, "base_seed: 0.5 is not")):
+        with pytest.raises(ValueError, match=message):
+            run_many(_tiny(), 3, base_seed=base_seed, jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -397,12 +411,21 @@ def test_summarize_comparison_drops_incomplete_pairs():
 # --- CSV and meta files --------------------------------------------------------------
 
 
+def _parse_csv(path, row_type):
+    """The rows of a written CSV file as ``row_type``, its header checked."""
+    kinds = get_type_hints(row_type)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == [f.name for f in fields(row_type)]
+        return [row_type(**{k: kinds[k](v) for k, v in rec.items()}) for rec in reader]
+
+
 def test_sweep_csv_round_trip(tmp_path):
     rows = sweep_alpha(_tiny(), [0.0, 0.5], runs=2, scenario="cross")
     path = tmp_path / "sweep.csv"
     write_sweep_csv(str(path), rows)
     first = path.read_bytes()
-    parsed = read_sweep_csv(str(path))
+    parsed = _parse_csv(path, SweepResult)
     assert [r.variant for r in parsed] == [r.variant for r in rows]
     write_sweep_csv(str(path), parsed)
     assert path.read_bytes() == first
@@ -416,18 +439,11 @@ def test_compare_csv_round_trip_including_nan(tmp_path):
     path = tmp_path / "cmp.csv"
     write_compare_csv(str(path), pairs)
     first = path.read_bytes()
-    parsed = read_compare_csv(str(path))
+    parsed = _parse_csv(path, ComparisonRow)
     assert math.isnan(parsed[0].welch_t)
     assert parsed[1].welch_t == pytest.approx(4.2)
     write_compare_csv(str(path), parsed)
     assert path.read_bytes() == first
-
-
-def test_read_sweep_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="unexpected columns"):
-        read_sweep_csv(str(path))
 
 
 def test_metrics_csv_lists_each_run(tmp_path):

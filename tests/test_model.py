@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,13 @@ def test_config_accepts_defaults(cross):
     assert cfg.v_max == 2 and cfg.p == 0.2 and cfg.horizon == 3600
 
 
+def test_config_accepts_numpy_integers(cross):
+    SimConfig(
+        cross, v_max=np.int64(3), horizon=np.int32(9), seed=np.uint8(1), min_green=np.intp(2),
+        stop_window=np.int16(4), strategy="fixed_time", fixed_time_split=(np.int64(2), 3),
+    )
+
+
 @pytest.mark.parametrize(
     "kwargs, fragment",
     [
@@ -61,6 +69,20 @@ def test_config_accepts_defaults(cross):
         ({"entry_intensities": (0.5, 1.2)}, "probability out of range"),
         ({"alpha": float("nan")}, "must be >= 0 and finite"),
         ({"alpha": float("inf")}, "must be >= 0 and finite"),
+        ({"v_max": 2.5}, "v_max: 2.5 is not an integer"),
+        ({"horizon": 10.5}, "horizon: 10.5 is not an integer"),
+        ({"seed": 1.5}, "seed: 1.5 is not an integer"),
+        ({"min_green": 1.5}, "min_green: 1.5 is not an integer"),
+        ({"stop_window": 2.5}, "stop_window: 2.5 is not an integer"),
+        ({"v_max": "2"}, "v_max: '2' is not an integer"),
+        (
+            {"strategy": "fixed_time", "fixed_time_split": (2.5, 3)},
+            r"fixed_time_split\[0\]: 2.5 is not an integer",
+        ),
+        (
+            {"strategy": "fixed_time", "fixed_time_split": (3, -1)},
+            r"fixed_time_split\[1\]=-1: must be >= 0",
+        ),
     ],
 )
 def test_config_rejects_bad_values(cross, kwargs, fragment):

@@ -15,6 +15,7 @@ from hcasim import (
     NetworkTopology,
     SimConfig,
     SimulationError,
+    grid_config,
 )
 from hcasim.model import IntersectionState, Level3State
 from hcasim.signals import (
@@ -23,7 +24,7 @@ from hcasim.signals import (
     controller_strategy,
     coordination_priority,
 )
-from conftest import cross_topology
+from conftest import cross_topology, mixed_phase_topology
 from netgen import random_topology
 
 
@@ -165,9 +166,11 @@ def test_select_alpha_flips_decision():
     node = _node([(0,), (1,)], neighbors=((0, 20),), compat={(0, 0, 0)})
     states = [IntersectionState(0, 30), IntersectionState(1, 4)]
     backlog = [3.0, 7.0]
-    assert _adaptive([_UPSTREAM, node], backlog, states, alpha=0.0)[1] == IntersectionState(1, 5)
+    _, got = _adaptive([_UPSTREAM, node], backlog, states, alpha=0.0)
+    assert got == IntersectionState(1, 5)
     # 3 + 1*10 = 13 > 7
-    assert _adaptive([_UPSTREAM, node], backlog, states, alpha=1.0)[1] == IntersectionState(0, 0)
+    _, got = _adaptive([_UPSTREAM, node], backlog, states, alpha=1.0)
+    assert got == IntersectionState(0, 0)
 
 
 def test_select_tie_keeps_incumbent():
@@ -231,8 +234,8 @@ def test_alpha_influence_is_monotone(p0, p1, tau, lo, hi):
         lo, hi = hi, lo
     nodes = [_UPSTREAM, _node([(0,), (1,)], neighbors=((0, 20),), compat={(0, 0, 0)})]
     states = [IntersectionState(0, tau), IntersectionState(1, 3)]
-    at_lo = _adaptive(nodes, [p0, p1], states, alpha=lo)[1]
-    at_hi = _adaptive(nodes, [p0, p1], states, alpha=hi)[1]
+    _, at_lo = _adaptive(nodes, [p0, p1], states, alpha=lo)
+    _, at_hi = _adaptive(nodes, [p0, p1], states, alpha=hi)
     if at_lo.pi == 0:
         assert at_hi.pi == 0
 
@@ -270,17 +273,17 @@ def test_thousand_pressure_instances_match_oracle():
 def test_adaptive_selector_runs_every_node():
     topo = cross_topology()
     sel = AdaptiveSelector(alpha=0.0)
-    out = sel.select(topo, [4.0, 1.0, 0.0, 0.0], [IntersectionState(1, 3)])
+    out = sel.select(topo, [4.0, 1.0, 0.0, 0.0], Level3State.of([IntersectionState(1, 3)]))
     assert list(out) == [IntersectionState(0, 0)]
 
 
 def test_fixed_time_cycles_through_split():
     topo = cross_topology()
     sel = FixedTimeSelector((30, 30))
-    states = [IntersectionState(0, 0)]
+    states = Level3State.of([IntersectionState(0, 0)])
     seen = []
     for _ in range(120):
-        seen.append(states[0])
+        seen += states
         states = sel.select(topo, [0.0] * 4, states)
     pis = [s.pi for s in seen]
     assert pis == [0] * 30 + [1] * 30 + [0] * 30 + [1] * 30
@@ -290,29 +293,42 @@ def test_fixed_time_cycles_through_split():
 def test_fixed_time_skips_zero_duration_phase():
     topo = cross_topology()
     sel = FixedTimeSelector((1, 0))
-    states = [IntersectionState(0, 0)]
+    states = Level3State.of([IntersectionState(0, 0)])
     for _ in range(10):
         states = sel.select(topo, [0.0] * 4, states)
-        assert states[0] == IntersectionState(0, 0)
+        assert list(states) == [IntersectionState(0, 0)]
 
 
 def test_fixed_time_split_indexes_modulo():
     # 2-phase node with a 1-entry split: both phases get the same duration
     topo = cross_topology()
     sel = FixedTimeSelector((2,))
-    states = [IntersectionState(0, 0)]
+    states = Level3State.of([IntersectionState(0, 0)])
     pis = []
     for _ in range(8):
-        pis.append(states[0].pi)
+        pis += states.pi.tolist()
         states = sel.select(topo, [0.0] * 4, states)
     assert pis == [0, 0, 1, 1, 0, 0, 1, 1]
+
+
+def test_fixed_time_recompiles_its_plan_for_another_topology():
+    # one selector handed the grid, then a network of three-phase nodes, then
+    # the grid again must step each as a fresh selector does
+    shared = FixedTimeSelector((2, 0, 3))
+    for topo in (grid_config().topology, mixed_phase_topology(), grid_config().topology):
+        fresh = FixedTimeSelector((2, 0, 3))
+        states = Level3State.of([IntersectionState(0, 0)] * topo.n_intersections)
+        for _ in range(7):
+            want = fresh.select(topo, [], states)
+            assert list(shared.select(topo, [], states)) == list(want)
+            states = want
 
 
 def test_fixed_time_all_zero_split_raises():
     topo = cross_topology()
     sel = FixedTimeSelector((0, 0))
     with pytest.raises(SimulationError, match="zero green split"):
-        sel.select(topo, [0.0] * 4, [IntersectionState(0, 0)])
+        sel.select(topo, [0.0] * 4, Level3State.of([IntersectionState(0, 0)]))
 
 
 def test_controller_strategy_builds_matching_selector():
@@ -455,7 +471,7 @@ def _level3_case(draw):
 def test_adaptive_kernel_matches_scalar_oracle(case, alpha, min_green):
     topo, backlog, states = case
     want = _oracle_adaptive(topo, backlog, states, alpha, min_green)
-    got = AdaptiveSelector(alpha, min_green).select(topo, backlog, states)
+    got = AdaptiveSelector(alpha, min_green).select(topo, backlog, Level3State.of(states))
     assert list(got) == want
     # the one-node coordination_priority runs the same kernel
     for node in topo.intersections:
@@ -471,6 +487,6 @@ def test_fixed_time_kernel_matches_scalar_oracle(case, split):
         want = _oracle_fixed(split, topo, states)
     except SimulationError as exc:
         with pytest.raises(SimulationError, match=str(exc)):
-            FixedTimeSelector(split).select(topo, [], states)
+            FixedTimeSelector(split).select(topo, [], Level3State.of(states))
         return
-    assert list(FixedTimeSelector(split).select(topo, [], states)) == want
+    assert list(FixedTimeSelector(split).select(topo, [], Level3State.of(states))) == want

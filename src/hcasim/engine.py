@@ -23,7 +23,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .lanes import apply_signal_indications, compute_backlog, compute_occupancy
+from .lanes import apply_signal_indications, compute_backlog, compute_occupancy, signal_bits
 from .model import (
     ConfigError,
     Level1Arrays,
@@ -120,17 +120,17 @@ class Simulation:
 
     def step(self) -> None:
         cfg = self.config
-        first_new_id = self.injector.next_id.copy()
-        self.injector.inject(self.state, self.rngs)
+        placed_from = self.injector.inject(self.state, self.rngs)
+        gamma = signal_bits(self.node_states.pi, self.topology.tables)
         self.removed_total += advance_all(
-            self.state, self.topology, self.gamma, cfg.v_max, cfg.p, self.rngs
+            self.state, self.topology, gamma, cfg.v_max, cfg.p, self.rngs
         )
 
         self.occupancy = compute_occupancy(self.state)
         self.backlog = compute_backlog(self.occupancy, self.topology)
         self.node_states = self.selector.select(self.topology, self.backlog, self.node_states)
 
-        self.last_stopped = count_stopped(self.state, cfg.stop_window, first_new_id)
+        self.last_stopped = count_stopped(self.state, cfg.stop_window, placed_from)
         self.total_stop_delay += self.last_stopped
         self.t += 1
         if self.check_invariants:

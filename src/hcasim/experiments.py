@@ -14,10 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Iterator, Sequence, get_type_hints
 
 from . import __version__
 from .engine import MetricsRecord, run_seeds
@@ -111,6 +113,10 @@ def _check_counts(runs: int, jobs: int) -> None:
             raise ValueError(f"{name}={count}: must be >= 1")
 
 
+# The pool of the sweep or compare in progress, which run_many submits to.
+_experiment_pool: ContextVar[Executor | None] = ContextVar("experiment_pool", default=None)
+
+
 def run_many(
     config: SimConfig,
     runs: int,
@@ -122,8 +128,11 @@ def run_many(
 
     The seeds are split into ``min(jobs, runs)`` contiguous batches, each run
     as one simulation of that many network copies (:func:`run_seeds`), on as
-    many worker processes when there are two or more.  Records come back in
-    seed order and equal those of single runs.
+    many worker processes when there are two or more.  Called alone, it
+    starts and joins a pool of its own; inside :func:`sweep_alpha` or
+    :func:`compare_strategies` it submits to the one pool the experiment
+    keeps for all of its cells.  Records come back in seed order and equal
+    those of single runs.
     """
     _check_counts(runs, jobs)
     seed0 = config.seed if base_seed is None else base_seed
@@ -131,12 +140,16 @@ def run_many(
     workers = min(jobs, runs)
     cuts = [seed0 + runs * k // workers for k in range(workers + 1)]
     batches = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    if workers > 1:
+    run_batch = partial(run_seeds, config)
+    shared = _experiment_pool.get()
+    if workers == 1:
+        done = [run_batch(batches[0])]
+    elif shared is not None:
+        done = list(shared.map(run_batch, batches, chunksize=1))
+    else:
         # the pool forks all of its workers at the first submit
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(partial(run_seeds, config), batches, chunksize=1))
-    else:
-        done = [run_seeds(config, batches[0])]
+            done = list(pool.map(run_batch, batches, chunksize=1))
     records = [rec for batch in done for rec in batch]
     if on_result is not None:
         for rec in records:
@@ -153,6 +166,18 @@ def _check_distinct(keys: Sequence[str], what: str) -> None:
         seen.add(key)
 
 
+@contextmanager
+def _shared_pool(workers: int) -> Iterator[None]:
+    """Within the block, every :func:`run_many` submits to one pool of
+    ``workers`` processes, started here when ``workers`` is two or more."""
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        token = _experiment_pool.set(pool)
+        try:
+            yield
+        finally:
+            _experiment_pool.reset(token)
+
+
 def _run_cells(
     cells: Sequence[tuple[str, SimConfig]],
     runs: int,
@@ -163,22 +188,25 @@ def _run_cells(
     """One stop-delay row per ``(variant, config)`` cell, in order.
 
     Each cell runs ``runs`` seeds from its config's ``seed``, which all
-    cells share, so rows are paired across variants.  A failed cell raises
-    :class:`SweepError` carrying the rows finished before it; a bad run or
-    job count raises :class:`ValueError` before the first cell.
+    cells share, so rows are paired across variants.  With two or more
+    workers, one pool of ``min(jobs, runs)`` serves every cell's
+    :func:`run_many`.  A failed cell raises :class:`SweepError` carrying the
+    rows finished before it; a bad run or job count raises
+    :class:`ValueError` before the first cell.
     """
     _check_counts(runs, jobs)
     rows: list[SweepResult] = []
-    for variant, cfg in cells:
-        try:
-            records = run_many(cfg, runs, jobs=jobs)
-        except Exception as exc:
-            raise SweepError(f"q={cfg.q:g} {variant}: {exc}", rows) from exc
-        mean, std, lo, hi = aggregate([float(r.total_stop_delay) for r in records])
-        row = SweepResult(scenario, cfg.q, variant, len(records), mean, std, lo, hi, cfg.seed)
-        rows.append(row)
-        if progress is not None:
-            progress(row)
+    with _shared_pool(min(jobs, runs)):
+        for variant, cfg in cells:
+            try:
+                records = run_many(cfg, runs, jobs=jobs)
+            except Exception as exc:
+                raise SweepError(f"q={cfg.q:g} {variant}: {exc}", rows) from exc
+            mean, std, lo, hi = aggregate([float(r.total_stop_delay) for r in records])
+            row = SweepResult(scenario, cfg.q, variant, len(records), mean, std, lo, hi, cfg.seed)
+            rows.append(row)
+            if progress is not None:
+                progress(row)
     return rows
 
 

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Level1Arrays, NetworkTopology
+from .model import Level1Arrays, NetworkTopology, TopologyTables
 
 
 def compute_occupancy(state: Level1Arrays) -> np.ndarray:
@@ -50,6 +50,12 @@ def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -
             f"intersection {node}: phase {pi[node]} out of range "
             f"(it has {tables.phase_count[node]})"
         )
+    return signal_bits(pi, tables)
+
+
+def signal_bits(pi: np.ndarray, tables: TopologyTables) -> np.ndarray:
+    """:func:`apply_signal_indications` without its range check, for the
+    phases a selector chose: the selectors choose only phases a node has."""
     # clipped, an exit lane's node -1 reads node 0's phase: its whole row is
     # green; without intersections every lane is an exit lane
     active = pi.take(tables.signal_node, mode="clip") if pi.size else 0

@@ -90,9 +90,14 @@ class TopologyTables(NamedTuple):
     exit_weights: np.ndarray  # [max exits, lanes]; padding: 0.0
     phase_lanes: np.ndarray   # [max lanes per phase, nodes, max phases]; padding: -1
     phase_base: np.ndarray    # [nodes, max phases]: 0.0, or -inf for a phase the node lacks
-    coordination: np.ndarray  # [4, entries]: own flat phase, neighbor, its phase, travel
+    phase_row: np.ndarray     # [nodes]: node * max phases, a node's row of the flat scores
+    # three [nodes, max phases, max entries] arrays, one entry per slot of the
+    # phase it credits: neighbor, the neighbor's phase, travel (float); padding: phase -1
+    coordination: tuple[np.ndarray, np.ndarray, np.ndarray]
     lane_length: np.ndarray   # [lanes]
-    exit_cum: np.ndarray      # [max exits, lanes]: running weight sum in exit order; padding: inf
+    last_cell: np.ndarray     # [lanes]: lane_length - 1
+    exit_room: np.ndarray     # [lanes]: 0, or unbounded extra room on a network-exit lane
+    exit_cum: np.ndarray      # [max exits, lanes]: running weight sum in exit order; inf from the last exit on
     exit_last: np.ndarray     # [lanes]: index of the last exit, -1 on a network-exit lane
     key_stride: int           # the longest lane: lane * key_stride - cell orders the arrays
     entry_key: np.ndarray     # [entries]: that key of each entry cell
@@ -100,6 +105,10 @@ class TopologyTables(NamedTuple):
     signal_row: np.ndarray    # [lanes]: lane * max phases, a lane's row of signal_green
     signal_green: np.ndarray  # [lanes * max phases]: flat [lane, phase] signal bit
     phase_count: np.ndarray   # [nodes]: how many phases each node has
+
+
+# room no speed reaches, far from overflow when lengths are added to it
+_UNBOUNDED = np.iinfo(np.intp).max // 4
 
 
 def _compile_tables(
@@ -127,20 +136,23 @@ def _compile_tables(
             phase_lanes[: len(phase), i, k] = phase
     # one entry per (neighbor link, compatibility triple) pair; a triple
     # naming no phase of its node can never raise a priority and is dropped
-    entries = [
-        (i * n_phases + own, nbr, nbr_phase, travel)
-        for i, node in enumerate(nodes)
-        for nbr, travel in node.neighbors
-        for linked, nbr_phase, own in node.compatibility
-        if linked == nbr and 0 <= own < len(node.phases)
-    ]
-    coordination = np.array(entries, dtype=np.intp).reshape(-1, 4).T
+    slots: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for i, node in enumerate(nodes):
+        for nbr, travel in node.neighbors:
+            for linked, nbr_phase, own in node.compatibility:
+                if linked == nbr and 0 <= own < len(node.phases):
+                    slots.setdefault((i, own), []).append((nbr, nbr_phase, travel))
+    shape = (len(nodes), n_phases, max(map(len, slots.values()), default=0))
+    nbr, nbr_phase, travel = np.zeros(shape, np.intp), np.full(shape, -1), np.zeros(shape)
+    for (i, own), slot in slots.items():
+        k = len(slot)
+        nbr[i, own, :k], nbr_phase[i, own, :k], travel[i, own, :k] = np.array(slot).T
 
     lane_length = np.array([lane.length for lane in lanes], dtype=np.intp)
     exit_last = np.array([len(lane.exits) - 1 for lane in lanes], dtype=np.intp)
-    # cumsum adds one exit at a time, as the turning rule's running sum does, bit for bit
-    real_exit = np.arange(width)[:, None] <= exit_last
-    exit_cum = np.where(real_exit, exit_weights.cumsum(axis=0), np.inf)
+    # cumsum adds one exit at a time, as the turning rule's running sum does,
+    # bit for bit; the last exit and the padding read inf
+    exit_cum = np.where(np.arange(width)[:, None] < exit_last, exit_weights.cumsum(axis=0), np.inf)
     stride = int(lane_length.max(initial=1))
     entry_key = np.array([li * stride - c for li, c in entry_points], dtype=np.intp)
     # a lane is green under each phase of its downstream node that lists it,
@@ -151,8 +163,10 @@ def _compile_tables(
     green = np.ones((len(lanes), n_phases), dtype=np.intp)
     green[signalled] = (phase_lanes[:, signal_node[signalled]] == signalled[:, None]).any(axis=0)
     return TopologyTables(
-        exit_targets, exit_weights, phase_lanes, phase_base, coordination,
-        lane_length, exit_cum, exit_last, stride, entry_key,
+        exit_targets, exit_weights, phase_lanes, phase_base,
+        n_phases * np.arange(len(nodes)), (nbr, nbr_phase, travel),
+        lane_length, lane_length - 1, np.where(exit_last < 0, _UNBOUNDED, 0),
+        exit_cum, exit_last, stride, entry_key,
         signal_node, n_phases * np.arange(len(lanes)), green.ravel(),
         np.array([len(node.phases) for node in nodes], dtype=np.uintp),
     )
@@ -238,22 +252,29 @@ class Level1Arrays:
     of lane ids, and vehicle ids count up from 0 in each copy.
     """
 
-    __slots__ = ("data", "lane_lengths", "replicas")
+    __slots__ = ("data", "lane_lengths", "replicas", "_first_lanes")
 
     def __init__(self, topology: NetworkTopology, replicas: int = 1):
         self.lane_lengths = np.array([lane.length for lane in topology.lanes], dtype=np.intp)
         self.replicas = replicas
         self.data = np.empty((4, 0), dtype=np.intp)
+        # each copy's first lane id, then the lane count
+        per_copy = self.lane_lengths.size // replicas
+        self._first_lanes = None if replicas == 1 else np.arange(replicas + 1) * per_copy
 
-    def replica_of(self, lanes: np.ndarray) -> np.ndarray:
-        """The copy each of ``lanes`` belongs to."""
-        return lanes // (self.lane_lengths.size // self.replicas)
+    def replica_cuts(self, lanes: np.ndarray) -> list[int]:
+        """Where each copy's share of the ascending ``lanes`` starts, then
+        their count."""
+        if self.replicas == 1:
+            return [0, lanes.size]
+        return lanes.searchsorted(self._first_lanes).tolist()
 
     def per_replica(self, lanes: np.ndarray) -> np.ndarray:
-        """How many of ``lanes`` belong to each copy."""
+        """How many of the ascending ``lanes`` belong to each copy."""
         if self.replicas == 1:
             return np.array([lanes.size])
-        return np.bincount(self.replica_of(lanes), minlength=self.replicas)
+        cuts = lanes.searchsorted(self._first_lanes)
+        return cuts[1:] - cuts[:-1]
 
     @property
     def vehicle_count(self) -> int:
@@ -298,6 +319,17 @@ class Level3State:
             yield IntersectionState(pi, tau)
 
 
+def _check_probability(name: str, value) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is a
+    number in [0, 1]."""
+    try:
+        ok = 0.0 <= value <= 1.0
+    except TypeError:
+        raise ConfigError(f"{name}: {value!r} is not a number") from None
+    if not ok:
+        raise ConfigError(f"{name}={value}: probability out of range [0, 1]")
+
+
 def check_integer(name: str, value, minimum: int) -> None:
     """Raise :class:`ConfigError` naming ``name`` unless ``value`` is an
     integer of at least ``minimum``; numpy integers count, as anything
@@ -339,11 +371,13 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_integer("v_max", self.v_max, 1)
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"p={self.p}: probability out of range [0, 1]")
-        if not 0.0 <= self.q <= 1.0:
-            raise ConfigError(f"q={self.q}: probability out of range [0, 1]")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+        _check_probability("p", self.p)
+        _check_probability("q", self.q)
+        try:
+            ok = math.isfinite(self.alpha) and self.alpha >= 0.0
+        except TypeError:
+            raise ConfigError(f"alpha: {self.alpha!r} is not a number") from None
+        if not ok:
             raise ConfigError(f"alpha={self.alpha}: must be >= 0 and finite")
         check_integer("horizon", self.horizon, 1)
         check_integer("seed", self.seed, 0)
@@ -356,11 +390,14 @@ class SimConfig:
             raise ConfigError(
                 f"strategy={self.strategy!r}: expected one of {', '.join(_STRATEGIES)}"
             )
-        for i, x in enumerate(self.resolved_intensities()):
-            if not 0.0 <= x <= 1.0:
-                raise ConfigError(
-                    f"entry {i} intensity {x}: probability out of range [0, 1]"
-                )
+        try:
+            for i, x in enumerate(self.resolved_intensities()):
+                if not 0.0 <= x <= 1.0:
+                    raise ConfigError(
+                        f"entry {i} intensity {x}: probability out of range [0, 1]"
+                    )
+        except TypeError:  # one loop, no per-entry type check, on a long entry list
+            raise ConfigError(f"entry_intensities[{i}]: {x!r} is not a number") from None
         if self.strategy == "fixed_time":
             split = self.fixed_time_split
             if not split or sum(split) == 0:

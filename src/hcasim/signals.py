@@ -37,12 +37,9 @@ def _coordination(tables: TopologyTables, states: Level3State) -> np.ndarray:
     arrival score ``tau - travel`` when the neighbor runs the entry's phase
     and the score is positive; a phase keeps its best credit.
     """
-    own, nbr, nbr_phase, travel = tables.coordination
-    score = states.tau[nbr] - travel
-    hit = (score > 0) & (states.pi[nbr] == nbr_phase)
-    prio = np.zeros(tables.phase_base.size)
-    np.maximum.at(prio, own[hit], score[hit])
-    return prio.reshape(tables.phase_base.shape)
+    nbr, nbr_phase, travel = tables.coordination
+    score = np.where(states.pi.take(nbr) == nbr_phase, states.tau.take(nbr) - travel, 0.0)
+    return score.max(axis=2, initial=0.0)
 
 
 def coordination_priority(
@@ -63,7 +60,7 @@ def coordination_priority(
     return float(_coordination(_one_node(node), Level3State.of(neighbor_states))[0, phase])
 
 
-_PAD = np.zeros(1)
+_UNSIZED = np.zeros(0)  # sized by the first select, not at construction
 
 
 class AdaptiveSelector:
@@ -81,6 +78,7 @@ class AdaptiveSelector:
     def __init__(self, alpha: float, min_green: int = 0):
         self.alpha = alpha
         self.min_green = min_green
+        self._padded = _UNSIZED  # the backlog, then 0.0 for padding lane -1
 
     def select(
         self,
@@ -91,16 +89,19 @@ class AdaptiveSelector:
         # `states` is the previous step's snapshot for every node, so all
         # intersections decide against the same picture.
         tables = topology.tables
-        padded = np.concatenate((backlog, _PAD))  # padding lane -1 reads a backlog of 0.0
+        padded = self._padded
+        if padded.size != len(backlog) + 1:
+            padded = self._padded = np.zeros(len(backlog) + 1)
+        padded[:-1] = backlog
         scores = tables.phase_base.copy()
-        for lanes in tables.phase_lanes:
-            scores += padded[lanes]
+        for by_lane in padded.take(tables.phase_lanes):
+            scores += by_lane
         if self.alpha:
             scores += self.alpha * _coordination(tables, states)
         pi, tau = states.pi, states.tau
-        rows = np.arange(len(pi))
         top = scores.argmax(axis=1)  # the lowest phase index among the maxima
-        keep = scores[rows, pi] == scores[rows, top]
+        flat = scores.ravel()
+        keep = flat.take(tables.phase_row + pi) == flat.take(tables.phase_row + top)
         if self.min_green:
             keep |= tau < self.min_green
         return Level3State(np.where(keep, pi, top), np.where(keep, tau + 1, 0))
@@ -119,7 +120,7 @@ class FixedTimeSelector:
         self._plan: tuple[NetworkTopology, np.ndarray, np.ndarray] | None = None
 
     def _compile(self, topology: NetworkTopology) -> tuple[np.ndarray, np.ndarray]:
-        """Per node and phase: the green time, and the next phase with one."""
+        """Per node and phase, flat: the green time, and the next phase with one."""
         shape = topology.tables.phase_base.shape
         duration = np.zeros(shape, dtype=np.intp)
         following = np.zeros(shape, dtype=np.intp)
@@ -136,7 +137,7 @@ class FixedTimeSelector:
                 while not durs[nxt]:
                     nxt = (nxt + 1) % n_phases
                 following[i, j] = nxt
-        return duration, following
+        return duration.ravel(), following.ravel()
 
     def select(
         self,
@@ -148,12 +149,10 @@ class FixedTimeSelector:
             self._plan = (topology, *self._compile(topology))
         _, duration, following = self._plan
         pi, tau = states.pi, states.tau
-        rows = np.arange(len(pi))
+        at = topology.tables.phase_row + pi
         # a phase with green time G is active for tau = 0 .. G-1
-        hold = tau + 1 < duration[rows, pi]
-        return Level3State(
-            np.where(hold, pi, following[rows, pi]), np.where(hold, tau + 1, 0)
-        )
+        hold = tau + 1 < duration.take(at)
+        return Level3State(np.where(hold, pi, following.take(at)), np.where(hold, tau + 1, 0))
 
 
 def controller_strategy(config: SimConfig):

@@ -34,7 +34,6 @@ independent reimplementation that wants draw-for-draw agreement):
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -58,11 +57,15 @@ class RngStream:
         self.turn = np.random.Generator(np.random.PCG64(turn))
 
 
-def _uniforms(rngs: Sequence[RngStream], stream: str, sizes: Sequence[int]) -> np.ndarray:
-    """``sizes[r]`` uniforms from substream ``stream`` of ``rngs[r]``, in replica order."""
+def _uniforms(rngs: Sequence[RngStream], stream: str, cuts: Sequence[int]) -> np.ndarray:
+    """Uniforms from substream ``stream``, ``rngs[r]``'s filling slice
+    ``cuts[r]:cuts[r + 1]``; a lone stream fills ``cuts[-1]``."""
     if len(rngs) == 1:
-        return getattr(rngs[0], stream).random(sizes[0])
-    return np.concatenate([getattr(r, stream).random(k) for r, k in zip(rngs, sizes)])
+        return getattr(rngs[0], stream).random(cuts[-1])
+    u = np.empty(cuts[-1])
+    for r, lo, hi in zip(rngs, cuts, cuts[1:]):
+        getattr(r, stream).random(out=u[lo:hi])
+    return u
 
 
 def advance_all(
@@ -102,43 +105,45 @@ def advance_all(
     np.not_equal(lane[1:], lane[:-1], out=leads[1:])
     front = leads.nonzero()[0]
     fl, fk = lane.take(front), cell.take(front)
-    flen = t.lane_length.take(fl)
-    if np.count_nonzero(fk >= flen):
-        raise SimulationError(f"a vehicle sits past the end of lane {fl[fk >= flen][0]}")
-    green = gamma.take(fl) != 0  # a network-exit lane always reads green
-    last = t.exit_last.take(fl)  # -1 on a network-exit lane
-    fcap = np.where(green, v_max, flen - fk - 1)
-    commit = (green & (last >= 0) & (fk + v.take(front) >= flen)).nonzero()[0]
+    # a front vehicle's room to its stop line: a cap under red, and on green
+    # one it commits past; a network-exit lane's unbounded extra room lets
+    # its front vehicle run off the end instead
+    room = t.last_cell.take(fl) - fk
+    if np.count_nonzero(room < 0):
+        raise SimulationError(f"a vehicle sits past the end of lane {fl[room < 0][0]}")
+    fcap = room + t.exit_room.take(fl)
+    commit = (gamma.take(fl) & (v.take(front) > fcap)).nonzero()[0]
     if commit.size:
         cl = fl.take(commit)
-        pick = last.take(commit)
+        pick = t.exit_last.take(cl)
         multi = pick.nonzero()[0]
         if multi.size:
-            u = _uniforms(rngs, "turn", state.per_replica(cl.take(multi)))
-            # turning: the first exit whose running weight sum exceeds u, else the last
-            hits = (u >= t.exit_cum.take(cl.take(multi), axis=1)).sum(axis=0)
-            pick[multi] = np.minimum(hits, pick.take(multi))
+            ml = cl.take(multi)
+            u = _uniforms(rngs, "turn", state.replica_cuts(ml))
+            # turning: the first exit whose running weight sum exceeds u; the
+            # sums rise along the exits and read inf from the last one on
+            pick[multi] = (u < t.exit_cum.take(ml, axis=1)).argmax(axis=0)
         target = t.exit_targets.take(pick * t.lane_length.size + cl)
         # the rear vehicle of a lane is its last column
         rear = lane.searchsorted(target, "right") - 1
         head = np.where(lane.take(rear) == target, cell.take(rear), t.lane_length.take(target))
-        fcap[commit] = flen.take(commit) - fk.take(commit) + head - 1
+        fcap[commit] += head
     cap[front] = fcap
     np.minimum(v, cap, out=v)
     # the columns run in draw order: lane by lane, front first
-    v -= _uniforms(rngs, "dawdle", state.per_replica(lane)) < p
+    v -= _uniforms(rngs, "dawdle", state.replica_cuts(lane)) < p
     np.maximum(v, 0, out=v)
     cell += v
     speed[:] = v
 
-    past = cell.take(front) >= flen
+    past = v.take(front) > room
     if not np.count_nonzero(past):
         return np.zeros(state.replicas, dtype=np.intp)
-    gone = front[past & (last < 0)]
     if commit.size:
         crossed = past.take(commit).nonzero()[0]
+        past[commit] = False
         at = commit.take(crossed)
-        idx, old, lengths = front.take(at), fk.take(at), flen.take(at)
+        idx, lengths = front.take(at), t.lane_length.take(fl.take(at))
         goal = target.take(crossed)
         land = cell.take(idx) - lengths
         if len(set(goal.tolist())) < goal.size:
@@ -151,15 +156,19 @@ def advance_all(
                     land_l[j] -= 1
                 claimed.add(land_l[j])
             land = np.array(land_l, dtype=np.intp)
+            old = fk.take(at)
             wait = land < 0  # squeezed out: waits in place at speed 0
             land[wait], goal[wait], lengths[wait] = old[wait], lane.take(idx[wait]), 0
-        lane[idx], cell[idx], speed[idx] = goal, land, lengths - old + land
+            speed[idx] = lengths - old + land
+        lane[idx], cell[idx] = goal, land
+    # past the end and not crossing: leaves the network
+    gone = front[past]
     removed = state.per_replica(lane.take(gone))
     # a removed vehicle sorts past every lane and is cut off; a crosser keeps
     # its old column until a stable sort of the nearly sorted keys moves it
     # behind its new lane's stayers
     lane[gone], cell[gone] = t.lane_length.size, 0
-    order = np.argsort(lane * t.key_stride - cell, kind="stable")
+    order = (lane * t.key_stride - cell).argsort(kind="stable")
     state.data = data.take(order[: n - gone.size], axis=1)
     return removed
 
@@ -167,18 +176,23 @@ def advance_all(
 def count_stopped(
     state: Level1Arrays,
     window: int | None = None,
-    first_new_id: float | np.ndarray = math.inf,
+    first_new_id: int | Sequence[int] | None = None,
 ) -> np.ndarray:
     """Vehicles standing still in each replica, optionally only within the
-    last ``window`` cells of each lane, skipping ids from the replica's
-    ``first_new_id`` on (ids are dense, so those are the vehicles placed this
-    step); one ``first_new_id`` serves a state of one replica."""
+    last ``window`` cells of each lane, skipping ids from ``first_new_id`` on
+    (ids are dense, so those are the vehicles placed this step): one id per
+    replica, or one for all of them."""
     lane, cell, speed, vid = state.data
-    if state.replicas > 1:
-        first_new_id = np.take(first_new_id, state.replica_of(lane))
-    stopped = (speed == 0) & (vid < first_new_id)
+    stopped = speed == 0
+    if first_new_id is not None:
+        new_from = np.asarray(first_new_id)
+        if new_from.size > 1:
+            new_from = new_from.repeat(state.per_replica(lane))
+        stopped &= vid < new_from
     if window is not None:
         stopped &= cell >= (state.lane_lengths - window).take(lane)
+    if state.replicas == 1:
+        return np.array([np.count_nonzero(stopped)])
     return state.per_replica(lane[stopped])
 
 
@@ -205,38 +219,49 @@ class InjectionProcess:
         self.intensities = np.tile(np.array(intensities, dtype=float), replicas)
         self.pending = np.zeros(len(topology.entry_points), dtype=np.intp)
         self.entries_per_replica = len(intensities)
+        # where each copy's entries start, then their count
+        self._cuts = range(0, len(self.intensities) + 1, max(len(intensities), 1))
         self.next_id = np.zeros(replicas, dtype=np.intp)
 
-    def inject(self, state: Level1Arrays, rngs: Sequence[RngStream]) -> None:
+    def inject(self, state: Level1Arrays, rngs: Sequence[RngStream]) -> np.ndarray | None:
         """Draw this step's arrivals and place what fits; ``rngs`` holds one
-        stream per replica."""
-        draws = _uniforms(rngs, "injection", [self.entries_per_replica] * len(rngs))
+        stream per replica.  Returns each replica's first id placed this step,
+        or None when none was placed."""
+        k = self.entries_per_replica
+        draws = _uniforms(rngs, "injection", self._cuts)
         self.pending += draws < self.intensities
         waiting = self.pending.nonzero()[0]
         if not waiting.size:
-            return
+            return None
         t = self.topology.tables
         data = state.data
         key = data[0] * t.key_stride - data[1]
         want = t.entry_key.take(waiting)
-        pos = np.searchsorted(key, want)
-        free = np.searchsorted(key, want, "right") == pos  # entry cell empty
+        pos = key.searchsorted(want)
+        free = key.searchsorted(want, "right") == pos  # entry cell empty
+        ids = self.next_id.tolist()
         placing: dict[int, tuple[int, int, int]] = {}  # key -> (insert position, id, entry)
         for ei, cell_key, at, empty in zip(
             waiting.tolist(), want.tolist(), pos.tolist(), free.tolist()
         ):
             if empty and cell_key not in placing:  # of entries sharing a cell, the first places
-                r = ei // self.entries_per_replica
-                placing[cell_key] = (at, int(self.next_id[r]), ei)
-                self.next_id[r] += 1
+                r = ei // k
+                placing[cell_key] = (at, ids[r], ei)
+                ids[r] += 1
                 self.pending[ei] -= 1
         if not placing:
-            return
+            return None
         # in key order, so entries sharing an insert position keep the columns' order
+        placed = sorted(placing.items())
+        new = np.array(
+            [(*self.topology.entry_points[ei], 0, vid) for _, (_, vid, ei) in placed],
+            dtype=np.intp,
+        ).T
         parts, prev = [], 0
-        for _, (at, vid, ei) in sorted(placing.items()):
-            lane, cell = self.topology.entry_points[ei]
-            parts += [data[:, prev:at], [[lane], [cell], [0], [vid]]]
+        for j, (_, (at, _, _)) in enumerate(placed):
+            parts += [data[:, prev:at], new[:, j : j + 1]]
             prev = at
         parts.append(data[:, prev:])
         state.data = np.concatenate(parts, axis=1)
+        first_new_id, self.next_id = self.next_id, np.array(ids, dtype=np.intp)
+        return first_new_id

@@ -9,8 +9,10 @@ import random
 import re
 from dataclasses import fields, replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hcasim import (
     ConfigError,
@@ -26,6 +28,7 @@ from hcasim import (
     validate_topology,
 )
 from hcasim.engine import count_stopped, run_seeds, trace_columns
+from hcasim.lanes import apply_signal_indications, signal_bits
 from hcasim.model import IntersectionState, Level1Arrays, Level3State, replicate
 from netgen import random_config, random_topology
 from reference import RefSim
@@ -73,6 +76,19 @@ def test_count_stopped_per_replica_with_its_own_new_ids(cross):
     assert count_stopped(state, first_new_id=[0, 2]).tolist() == [0, 2]
 
 
+def test_count_stopped_defaults_alone_and_in_batch():
+    # without first_new_id every standing vehicle counts; one id serves every copy
+    for form, sim, _ in alone_and_in_batch(grid_config(q=0.3, horizon=40, seed=2)):
+        for _ in range(40):
+            sim.step()
+        lane, _, speed, vid = sim.state.data
+        standing = sim.state.per_replica(lane[speed == 0])
+        assert standing.sum() > 0, form
+        assert count_stopped(sim.state).tolist() == standing.tolist(), form
+        early = sim.state.per_replica(lane[(speed == 0) & (vid < 5)])
+        assert count_stopped(sim.state, first_new_id=5).tolist() == early.tolist(), form
+
+
 # --- construction-time validation -------------------------------------------
 
 
@@ -102,6 +118,42 @@ def test_empty_seed_list_is_rejected_before_any_state(cross):
 def test_run_seeds_rejects_an_empty_seed_list(cross):
     with pytest.raises(ValueError, match="seeds"):
         run_seeds(SimConfig(cross), [])
+
+
+@st.composite
+def _any_controller(draw):
+    """A netgen or mixed-phase config under any strategy."""
+    cfg = draw(
+        st.one_of(
+            st.integers(0, 10_000).map(lambda seed: random_config(seed, horizon=60)),
+            st.just(SimConfig(mixed_phase_topology(), q=0.4, horizon=60)),
+        )
+    )
+    strategy = draw(st.sampled_from(("hca", "backpressure", "fixed_time")))
+    split = (draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    return replace(
+        cfg,
+        strategy=strategy,
+        alpha=draw(st.sampled_from((0.0, 1.0, 5.0))),
+        min_green=draw(st.integers(0, 3)),
+        fixed_time_split=split if strategy == "fixed_time" else None,
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_any_controller())
+def test_selectors_choose_phases_their_nodes_have(cfg):
+    # the engine looks its signal bits up without apply_signal_indications'
+    # range check, which holds only because no selector leaves the range
+    for form, sim, _ in alone_and_in_batch(cfg):
+        counts = [len(node.phases) for node in sim.topology.intersections]
+        for _ in range(cfg.horizon):
+            sim.step()
+            pi = sim.node_states.pi
+            assert all(0 <= k < n for k, n in zip(pi.tolist(), counts)), form
+            unchecked = signal_bits(pi, sim.topology.tables)
+            assert unchecked.tolist() == apply_signal_indications(pi, sim.topology).tolist()
 
 
 def test_construction_leaves_topology_tables_uncompiled():

@@ -32,6 +32,7 @@ from hcasim import (
     sweep_alpha,
     welch_one_sided,
 )
+from hcasim.engine import run_seeds
 from hcasim.experiments import (
     write_compare_csv,
     write_meta,
@@ -222,13 +223,12 @@ def test_run_many_parallel_equals_serial():
     assert serial == parallel
 
 
-@pytest.mark.parametrize("runs, jobs, pools", [(2, 64, [2]), (3, 2, [2]), (1, 8, [])])
-def test_run_many_starts_no_more_workers_than_runs(monkeypatch, runs, jobs, pools):
-    # a stand-in pool that records its size and maps in this process, so no
-    # worker is ever forked however large ``jobs`` is
+def _in_process_pools(monkeypatch) -> list[int]:
+    """Replace the process pool with a stand-in that maps in this process,
+    so no worker is ever forked; returns the size of each pool started."""
     import hcasim.experiments as mod
 
-    sizes = []
+    sizes: list[int] = []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -244,9 +244,32 @@ def test_run_many_starts_no_more_workers_than_runs(monkeypatch, runs, jobs, pool
             return map(fn, items)
 
     monkeypatch.setattr(mod, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+@pytest.mark.parametrize("runs, jobs, pools", [(2, 64, [2]), (3, 2, [2]), (1, 8, [])])
+def test_run_many_starts_no_more_workers_than_runs(monkeypatch, runs, jobs, pools):
+    sizes = _in_process_pools(monkeypatch)
     records = run_many(_tiny(), runs, jobs=jobs)
     assert sizes == pools
     assert records == run_many(_tiny(), runs, jobs=1)
+
+
+TWO_CELLS = {
+    "sweep": lambda jobs: sweep_alpha(_tiny(), [0.0, 1.0], 3, "x", jobs),
+    "compare": lambda jobs: compare_strategies(_tiny(), [0.1], 3, "x", jobs),
+}
+
+
+@pytest.mark.parametrize("experiment", TWO_CELLS.values(), ids=TWO_CELLS)
+def test_an_experiment_starts_one_pool_for_all_its_cells(monkeypatch, experiment):
+    serial = experiment(1)
+    sizes = _in_process_pools(monkeypatch)
+    assert experiment(2) == serial
+    assert sizes == [2]
+    # the experiment's pool is gone with it: run_many alone starts its own
+    run_many(_tiny(), 3, jobs=2)
+    assert sizes == [2, 2]
 
 
 # every seed draws, numbers its vehicles and ends as it does alone
@@ -310,22 +333,23 @@ def test_sweep_alpha_is_pure():
     assert a == b
 
 
+def _fails_at_alpha_one(config, seeds):
+    # module level, so that a pool worker can unpickle it
+    if config.alpha == 1.0:
+        raise RuntimeError("disk full")
+    return run_seeds(config, seeds)
+
+
 def test_sweep_error_carries_partial_rows(monkeypatch):
     import hcasim.experiments as mod
 
-    real = mod.run_seeds
-
-    def flaky(config, seeds):
-        # fails inside the second cell's batch
-        if config.alpha == 1.0:
-            raise RuntimeError("disk full")
-        return real(config, seeds)
-
-    monkeypatch.setattr(mod, "run_seeds", flaky)
-    with pytest.raises(SweepError, match="alpha=1") as exc_info:
-        sweep_alpha(_tiny(), [0.0, 1.0], runs=2, scenario="x")
-    assert len(exc_info.value.partial) == 1
-    assert exc_info.value.partial[0].variant == "alpha=0.000"
+    # fails inside the second cell's batches, in the pool's workers at jobs=2
+    monkeypatch.setattr(mod, "run_seeds", _fails_at_alpha_one)
+    for jobs in (1, 2):
+        with pytest.raises(SweepError, match="alpha=1") as exc_info:
+            sweep_alpha(_tiny(), [0.0, 1.0], runs=2, scenario="x", jobs=jobs)
+        assert len(exc_info.value.partial) == 1
+        assert exc_info.value.partial[0].variant == "alpha=0.000"
 
 
 def test_sweep_invalid_weight_is_a_config_error():

@@ -83,6 +83,10 @@ def test_config_accepts_numpy_integers(cross):
             {"strategy": "fixed_time", "fixed_time_split": (3, -1)},
             r"fixed_time_split\[1\]=-1: must be >= 0",
         ),
+        ({"q": "0.1"}, "q: '0.1' is not a number"),
+        ({"p": None}, "p: None is not a number"),
+        ({"alpha": "1"}, "alpha: '1' is not a number"),
+        ({"entry_intensities": (None, "0.1")}, r"entry_intensities\[1\]: '0.1' is not a number"),
     ],
 )
 def test_config_rejects_bad_values(cross, kwargs, fragment):

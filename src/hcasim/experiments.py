@@ -14,11 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from typing import Callable, Iterator, Sequence, get_type_hints
 
 from . import __version__
@@ -113,8 +112,48 @@ def _check_counts(runs: int, jobs: int) -> None:
             raise ValueError(f"{name}={count}: must be >= 1")
 
 
-# The pool of the sweep or compare in progress, which run_many submits to.
-_experiment_pool: ContextVar[Executor | None] = ContextVar("experiment_pool", default=None)
+# Each cell's config and records, in cell order, from batches planned up front.
+_Plan = Iterator[tuple[SimConfig, list[MetricsRecord]]]
+
+# The plan of the sweep or compare in progress, which each cell's run_many takes from.
+_experiment_plan: ContextVar[_Plan | None] = ContextVar("experiment_plan", default=None)
+
+
+@contextmanager
+def _planned(cells: Sequence[tuple[SimConfig, int]], runs: int, jobs: int) -> Iterator[_Plan]:
+    """``(config, records)`` of each ``(config, first seed)`` cell's ``runs``
+    seeds, in cell order.
+
+    The batches are as few and as large as keep all ``jobs`` workers busy:
+    a whole cell when there are at least as many cells as workers, and
+    otherwise ``ceil(jobs / cells)`` contiguous seed ranges per cell, at
+    most one per run.  Each runs as one simulation of that many network
+    copies (:func:`run_seeds`).  With two or more batches and ``jobs``, every
+    batch is submitted up front to one pool of ``min(jobs, batches)``
+    workers, and on exit the batches not yet started are cancelled;
+    otherwise each batch runs here when its cell is taken.
+    """
+    parts = 1 if len(cells) >= jobs else min(runs, -(-jobs // len(cells)))
+    batches = [
+        (config, range(seed0 + runs * k // parts, seed0 + runs * (k + 1) // parts))
+        for config, seed0 in cells
+        for k in range(parts)
+    ]
+    workers = min(jobs, len(batches))
+    # the pool forks all of its workers at the first submit
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        if pool is None:
+            done = (run_seeds(config, seeds) for config, seeds in batches)
+        else:
+            futures = [pool.submit(run_seeds, config, seeds) for config, seeds in batches]
+            done = (future.result() for future in futures)
+        yield (
+            (config, [rec for _ in range(parts) for rec in next(done)]) for config, _ in cells
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_many(
@@ -126,31 +165,25 @@ def run_many(
 ) -> list[MetricsRecord]:
     """Run ``runs`` replications seeded ``base_seed + i`` for i in 0..runs-1.
 
-    The seeds are split into ``min(jobs, runs)`` contiguous batches, each run
-    as one simulation of that many network copies (:func:`run_seeds`), on as
-    many worker processes when there are two or more.  Called alone, it
-    starts and joins a pool of its own; inside :func:`sweep_alpha` or
-    :func:`compare_strategies` it submits to the one pool the experiment
-    keeps for all of its cells.  Records come back in seed order and equal
-    those of single runs.
+    Called alone, it splits the seeds into ``min(jobs, runs)`` contiguous
+    batches, each run as one simulation of that many network copies
+    (:func:`run_seeds`), on a pool of as many workers, started and joined
+    here, when there are two or more.  Inside :func:`sweep_alpha` or
+    :func:`compare_strategies` it collects the batches the experiment
+    planned and submitted for this cell when it started.  Records come
+    back in seed order and equal those of single runs.
     """
     _check_counts(runs, jobs)
     seed0 = config.seed if base_seed is None else base_seed
     check_integer("base_seed", seed0, 0)
-    workers = min(jobs, runs)
-    cuts = [seed0 + runs * k // workers for k in range(workers + 1)]
-    batches = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    run_batch = partial(run_seeds, config)
-    shared = _experiment_pool.get()
-    if workers == 1:
-        done = [run_batch(batches[0])]
-    elif shared is not None:
-        done = list(shared.map(run_batch, batches, chunksize=1))
+    plan = _experiment_plan.get()
+    if plan is None:
+        with _planned([(config, seed0)], runs, jobs) as cell:
+            _, records = next(cell)
     else:
-        # the pool forks all of its workers at the first submit
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_batch, batches, chunksize=1))
-    records = [rec for batch in done for rec in batch]
+        planned, records = next(plan)
+        if planned is not config or (records[0].seed, len(records)) != (seed0, runs):
+            raise RuntimeError("run_many inside an experiment must take its cells in order")
     if on_result is not None:
         for rec in records:
             on_result(rec)
@@ -166,18 +199,6 @@ def _check_distinct(keys: Sequence[str], what: str) -> None:
         seen.add(key)
 
 
-@contextmanager
-def _shared_pool(workers: int) -> Iterator[None]:
-    """Within the block, every :func:`run_many` submits to one pool of
-    ``workers`` processes, started here when ``workers`` is two or more."""
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        token = _experiment_pool.set(pool)
-        try:
-            yield
-        finally:
-            _experiment_pool.reset(token)
-
-
 def _run_cells(
     cells: Sequence[tuple[str, SimConfig]],
     runs: int,
@@ -188,25 +209,33 @@ def _run_cells(
     """One stop-delay row per ``(variant, config)`` cell, in order.
 
     Each cell runs ``runs`` seeds from its config's ``seed``, which all
-    cells share, so rows are paired across variants.  With two or more
-    workers, one pool of ``min(jobs, runs)`` serves every cell's
-    :func:`run_many`.  A failed cell raises :class:`SweepError` carrying the
-    rows finished before it; a bad run or job count raises
+    cells share, so rows are paired across variants.  Every cell's batches
+    are planned and submitted to one pool (see :func:`_planned`) before
+    the first cell's :func:`run_many` collects its own; rows and progress
+    reports follow in cell order.  A failed cell raises
+    :class:`SweepError` carrying the rows finished before it, and the
+    batches not yet started are cancelled; a bad run or job count raises
     :class:`ValueError` before the first cell.
     """
     _check_counts(runs, jobs)
     rows: list[SweepResult] = []
-    with _shared_pool(min(jobs, runs)):
-        for variant, cfg in cells:
-            try:
-                records = run_many(cfg, runs, jobs=jobs)
-            except Exception as exc:
-                raise SweepError(f"q={cfg.q:g} {variant}: {exc}", rows) from exc
-            mean, std, lo, hi = aggregate([float(r.total_stop_delay) for r in records])
-            row = SweepResult(scenario, cfg.q, variant, len(records), mean, std, lo, hi, cfg.seed)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+    with _planned([(cfg, cfg.seed) for _, cfg in cells], runs, jobs) as plan:
+        token = _experiment_plan.set(plan)
+        try:
+            for variant, cfg in cells:
+                try:
+                    records = run_many(cfg, runs, jobs=jobs)
+                except Exception as exc:
+                    raise SweepError(f"q={cfg.q:g} {variant}: {exc}", rows) from exc
+                mean, std, lo, hi = aggregate([float(r.total_stop_delay) for r in records])
+                row = SweepResult(
+                    scenario, cfg.q, variant, len(records), mean, std, lo, hi, cfg.seed
+                )
+                rows.append(row)
+                if progress is not None:
+                    progress(row)
+        finally:
+            _experiment_plan.reset(token)
     return rows
 
 

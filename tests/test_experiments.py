@@ -223,25 +223,57 @@ def test_run_many_parallel_equals_serial():
     assert serial == parallel
 
 
-def _in_process_pools(monkeypatch) -> list[int]:
-    """Replace the process pool with a stand-in that maps in this process,
-    so no worker is ever forked; returns the size of each pool started."""
+def _in_process_pools(monkeypatch, log: list | None = None) -> list[int]:
+    """Replace the process pool with a stand-in that runs its batches in this
+    process, so no worker is ever forked; returns the size of each pool
+    started.
+
+    Like a pool, the stand-in runs batches in the order they were submitted:
+    a batch runs, after every batch queued before it, when its result is
+    first asked for.  ``shutdown`` runs what is still queued unless told to
+    cancel it.  Each submit and each result taken is appended to ``log`` as
+    ``(event, config, seeds)``.
+    """
     import hcasim.experiments as mod
 
     sizes: list[int] = []
+    log = [] if log is None else log
+
+    class Batch:
+        def __init__(self, queue, fn, args):
+            self.queue, self.fn, self.args = queue, fn, args
+            self.outcome = None
+
+        def run(self):
+            try:
+                self.outcome = (True, self.fn(*self.args))
+            except Exception as exc:
+                self.outcome = (False, exc)
+
+        def result(self):
+            while self.outcome is None:
+                self.queue.pop(0).run()
+            log.append(("result", *self.args))
+            ok, value = self.outcome
+            if not ok:
+                raise value
+            return value
 
     class InProcessPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            self.queue: list[Batch] = []
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            log.append(("submit", *args))
+            self.queue.append(Batch(self.queue, fn, args))
+            return self.queue[-1]
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def shutdown(self, wait=True, cancel_futures=False):
+            if not cancel_futures:
+                for batch in self.queue:
+                    batch.run()
+            self.queue.clear()
 
     monkeypatch.setattr(mod, "ProcessPoolExecutor", InProcessPool)
     return sizes
@@ -270,6 +302,51 @@ def test_an_experiment_starts_one_pool_for_all_its_cells(monkeypatch, experiment
     # the experiment's pool is gone with it: run_many alone starts its own
     run_many(_tiny(), 3, jobs=2)
     assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("cells, jobs, runs, pools, ranges", [
+    # at least as many cells as workers: one batch per cell
+    (6, 2, 4, [2], [(100, 104)]),
+    (2, 2, 4, [2], [(100, 104)]),
+    (2, 2, 1, [2], [(100, 101)]),
+    # fewer cells: ceil(jobs / cells) seed ranges per cell, at most one per run
+    (1, 2, 4, [2], [(100, 102), (102, 104)]),
+    (3, 8, 4, [8], [(100, 101), (101, 102), (102, 104)]),
+    (2, 3, 5, [3], [(100, 102), (102, 105)]),
+    (1, 64, 2, [2], [(100, 101), (101, 102)]),
+    # one batch or one job: no pool
+    (1, 2, 1, [], []),
+    (4, 1, 4, [], []),
+])
+def test_an_experiment_submits_its_planned_batches(monkeypatch, cells, jobs, runs, pools, ranges):
+    # the pool gets a worker per batch, up to jobs
+    alphas = [0.25 * k for k in range(cells)]
+    serial = sweep_alpha(_tiny(), alphas, runs, "x", 1)
+    log: list = []
+    sizes = _in_process_pools(monkeypatch, log)
+    assert sweep_alpha(_tiny(), alphas, runs, "x", jobs) == serial
+    assert sizes == pools
+    submitted = [(cfg.alpha, seeds.start, seeds.stop) for event, cfg, seeds in log
+                 if event == "submit"]
+    assert submitted == [(a, lo, hi) for a in alphas for lo, hi in ranges]
+
+
+def test_every_cell_is_submitted_before_the_first_is_collected(monkeypatch):
+    log: list = []
+    _in_process_pools(monkeypatch, log)
+    rows = compare_strategies(_tiny(), [0.1, 0.3], 3, "x", jobs=2)
+    cells = [(0.1, "backpressure"), (0.1, "hca"), (0.3, "backpressure"), (0.3, "hca")]
+    assert [(event, cfg.q, cfg.strategy) for event, cfg, _ in log] == (
+        [("submit", *cell) for cell in cells] + [("result", *cell) for cell in cells]
+    )
+    assert [(r.q, r.variant) for r in rows] == cells
+
+
+def test_one_run_cells_spread_over_the_jobs(monkeypatch):
+    serial = compare_strategies(_tiny(), [0.1], runs=1, scenario="x", jobs=1)
+    sizes = _in_process_pools(monkeypatch)
+    assert compare_strategies(_tiny(), [0.1], runs=1, scenario="x", jobs=2) == serial
+    assert sizes == [2]
 
 
 # every seed draws, numbers its vehicles and ends as it does alone
@@ -333,8 +410,12 @@ def test_sweep_alpha_is_pure():
     assert a == b
 
 
+ALPHAS_RUN: list[float] = []
+
+
 def _fails_at_alpha_one(config, seeds):
     # module level, so that a pool worker can unpickle it
+    ALPHAS_RUN.append(config.alpha)
     if config.alpha == 1.0:
         raise RuntimeError("disk full")
     return run_seeds(config, seeds)
@@ -350,6 +431,34 @@ def test_sweep_error_carries_partial_rows(monkeypatch):
             sweep_alpha(_tiny(), [0.0, 1.0], runs=2, scenario="x", jobs=jobs)
         assert len(exc_info.value.partial) == 1
         assert exc_info.value.partial[0].variant == "alpha=0.000"
+
+
+def test_a_failed_cell_cancels_the_batches_not_started(monkeypatch):
+    import hcasim.experiments as mod
+
+    monkeypatch.setattr(mod, "run_seeds", _fails_at_alpha_one)
+    monkeypatch.setattr(sys.modules[__name__], "ALPHAS_RUN", [])
+    sizes = _in_process_pools(monkeypatch)
+    with pytest.raises(SweepError, match="alpha=1") as exc_info:
+        sweep_alpha(_tiny(), [0.0, 1.0, 2.0, 3.0], runs=2, scenario="x", jobs=2)
+    assert [r.variant for r in exc_info.value.partial] == ["alpha=0.000"]
+    assert sizes == [2]
+    assert 3.0 not in ALPHAS_RUN
+
+
+def test_an_interrupt_cancels_the_batches_not_started(monkeypatch):
+    import hcasim.experiments as mod
+
+    monkeypatch.setattr(mod, "run_seeds", _fails_at_alpha_one)
+    monkeypatch.setattr(sys.modules[__name__], "ALPHAS_RUN", [])
+    _in_process_pools(monkeypatch)
+
+    def interrupt(row):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        sweep_alpha(_tiny(), [0.0, 2.0, 3.0], runs=2, scenario="x", jobs=2, progress=interrupt)
+    assert ALPHAS_RUN == [0.0]
 
 
 def test_sweep_invalid_weight_is_a_config_error():

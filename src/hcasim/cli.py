@@ -24,6 +24,7 @@ from .engine import MetricsRecord, run
 from .experiments import (
     SweepError,
     SweepResult,
+    _batches_finished,
     compare_strategies,
     summarize_comparison,
     sweep_alpha,
@@ -178,7 +179,7 @@ def _alpha_grid(start: float, stop: float, step: float) -> list[float]:
 
 def _progress(cells: int) -> Callable[[SweepResult], None]:
     """A stderr line per finished cell of ``cells``, ending with the time
-    elapsed and an ETA from the mean time per cell so far."""
+    elapsed and an ETA from the share of the work done so far."""
     start = time.monotonic()
     done = 0
 
@@ -186,7 +187,11 @@ def _progress(cells: int) -> Callable[[SweepResult], None]:
         nonlocal done
         done += 1
         elapsed = time.monotonic() - start
-        eta = elapsed / done * (cells - done)
+        # Cells run side by side, so the share of the experiment's batches
+        # a pool has finished can lead the share of cells reported; each
+        # bounds the share of the work done from below.
+        finished, planned = _batches_finished()
+        eta = elapsed / max(finished / planned, done / cells) - elapsed
         print(
             f"  {row.scenario} q={row.q:g} {row.variant}: "
             f"mean={row.mean:.1f} std={row.std:.1f} ({row.runs} runs) "

@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Callable, Iterator, Sequence, get_type_hints
 
 from . import __version__
@@ -76,13 +77,13 @@ def aggregate(values: Sequence[float]) -> tuple[float, float, float, float]:
     return mean, std, min(values), max(values)
 
 
-def welch_one_sided(
+def _welch_t(
     mean_a: float, std_a: float, n_a: int, mean_b: float, std_b: float, n_b: int
-) -> tuple[float, float]:
-    """One-sided Welch t-test of ``mean A > mean B``; returns (t, p).
+) -> tuple[float, float | None]:
+    """Welch t of ``mean A - mean B`` and its Welch-Satterthwaite df.
 
-    Zero-variance degenerate samples collapse to p in {0, 0.5, 1} by the sign
-    of the mean difference.
+    With both variances zero the df is None and t is inf, -inf or 0 by the
+    sign of the mean difference.
     """
     if n_a < 2 or n_b < 2:
         raise ValueError("welch_one_sided() needs at least two runs per side")
@@ -91,16 +92,31 @@ def welch_one_sided(
     se2 = va + vb
     if se2 == 0.0:
         if mean_a > mean_b:
-            return math.inf, 0.0
+            return math.inf, None
         if mean_a < mean_b:
-            return -math.inf, 1.0
-        return 0.0, 0.5
+            return -math.inf, None
+        return 0.0, None
     t = (mean_a - mean_b) / math.sqrt(se2)
     # Welch-Satterthwaite df from the variance shares, which sum to 1: the
     # squared variances themselves can underflow to 0 while se2 > 0.
     ra, rb = va / se2, vb / se2
-    df = 1.0 / (ra * ra / (n_a - 1) + rb * rb / (n_b - 1))
-    # imported here: scipy.stats is slow to load and only the p-value needs it
+    return t, 1.0 / (ra * ra / (n_a - 1) + rb * rb / (n_b - 1))
+
+
+def welch_one_sided(
+    mean_a: float, std_a: float, n_a: int, mean_b: float, std_b: float, n_b: int
+) -> tuple[float, float]:
+    """One-sided Welch t-test of ``mean A > mean B``; returns (t, p).
+
+    Zero-variance degenerate samples collapse to p in {0, 0.5, 1} by the sign
+    of the mean difference.  Only the p-value needs scipy, which is imported
+    on the first call that computes one; :func:`summarize_comparison`, and so
+    ``hcasim compare``, takes the t alone and never loads scipy.
+    """
+    t, df = _welch_t(mean_a, std_a, n_a, mean_b, std_b, n_b)
+    if df is None:
+        return t, 0.0 if t > 0 else 1.0 if t < 0 else 0.5
+    # imported here: scipy.stats takes about 68 MB and a second to load
     from scipy.stats import t as student_t
 
     return t, float(student_t.sf(t, df))
@@ -112,17 +128,46 @@ def _check_counts(runs: int, jobs: int) -> None:
             raise ValueError(f"{name}={count}: must be >= 1")
 
 
-# Each cell's config and records, in cell order, from batches planned up front.
-_Plan = Iterator[tuple[SimConfig, list[MetricsRecord]]]
+@dataclass(frozen=True)
+class _Plan:
+    """An experiment's batches, planned when it starts: ``cells`` gives each
+    cell's config and records, in cell order, and ``futures`` holds the
+    pool's future of each of the ``batches`` (none without a pool)."""
+
+    cells: Iterator[tuple[SimConfig, list[MetricsRecord]]]
+    batches: int
+    futures: Sequence[Future]
+
 
 # The plan of the sweep or compare in progress, which each cell's run_many takes from.
 _experiment_plan: ContextVar[_Plan | None] = ContextVar("experiment_plan", default=None)
 
 
+def _batches_finished() -> tuple[int, int]:
+    """``(finished, planned)`` batches of the sweep or compare in progress,
+    for an ETA in the progress report of one of its cells.
+
+    Only a pool's batches count as finished: without one, each batch runs
+    when its cell is taken, so the cells reported count them.
+    """
+    plan = _experiment_plan.get()
+    # done(), not a count kept by done-callbacks: a result wakes its reader
+    # before the future's callbacks run, so such a count can lag behind
+    return sum(future.done() for future in plan.futures), plan.batches
+
+
+def _cancel_later(futures: Sequence[Future], k: int, batch: Future) -> None:
+    """Done-callback of batch ``k`` of ``futures``: if it failed, cancel the
+    later batches that no worker has taken yet, so that none starts after
+    the failure."""
+    if not batch.cancelled() and batch.exception() is not None:
+        for future in futures[k + 1 :]:
+            future.cancel()
+
+
 @contextmanager
 def _planned(cells: Sequence[tuple[SimConfig, int]], runs: int, jobs: int) -> Iterator[_Plan]:
-    """``(config, records)`` of each ``(config, first seed)`` cell's ``runs``
-    seeds, in cell order.
+    """The plan of each ``(config, first seed)`` cell's ``runs`` seeds.
 
     The batches are as few and as large as keep all ``jobs`` workers busy:
     a whole cell when there are at least as many cells as workers, and
@@ -130,8 +175,9 @@ def _planned(cells: Sequence[tuple[SimConfig, int]], runs: int, jobs: int) -> It
     most one per run.  Each runs as one simulation of that many network
     copies (:func:`run_seeds`).  With two or more batches and ``jobs``, every
     batch is submitted up front to one pool of ``min(jobs, batches)``
-    workers, and on exit the batches not yet started are cancelled;
-    otherwise each batch runs here when its cell is taken.
+    workers.  A failed batch cancels the batches after it that no worker
+    has taken, and on exit every batch not yet started is cancelled.
+    Otherwise each batch runs here when its cell is taken.
     """
     parts = 1 if len(cells) >= jobs else min(runs, -(-jobs // len(cells)))
     batches = [
@@ -142,14 +188,19 @@ def _planned(cells: Sequence[tuple[SimConfig, int]], runs: int, jobs: int) -> It
     workers = min(jobs, len(batches))
     # the pool forks all of its workers at the first submit
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    futures: list[Future] = []
     try:
         if pool is None:
             done = (run_seeds(config, seeds) for config, seeds in batches)
         else:
             futures = [pool.submit(run_seeds, config, seeds) for config, seeds in batches]
+            for k, future in enumerate(futures):
+                future.add_done_callback(partial(_cancel_later, futures, k))
             done = (future.result() for future in futures)
-        yield (
-            (config, [rec for _ in range(parts) for rec in next(done)]) for config, _ in cells
+        yield _Plan(
+            ((config, [rec for _ in range(parts) for rec in next(done)]) for config, _ in cells),
+            len(batches),
+            futures,
         )
     finally:
         if pool is not None:
@@ -178,10 +229,10 @@ def run_many(
     check_integer("base_seed", seed0, 0)
     plan = _experiment_plan.get()
     if plan is None:
-        with _planned([(config, seed0)], runs, jobs) as cell:
-            _, records = next(cell)
+        with _planned([(config, seed0)], runs, jobs) as alone:
+            _, records = next(alone.cells)
     else:
-        planned, records = next(plan)
+        planned, records = next(plan.cells)
         if planned is not config or (records[0].seed, len(records)) != (seed0, runs):
             raise RuntimeError("run_many inside an experiment must take its cells in order")
     if on_result is not None:
@@ -293,7 +344,7 @@ def summarize_comparison(rows: Sequence[SweepResult]) -> list[ComparisonRow]:
         bp, hca = pair["backpressure"], pair["hca"]
         reduction = 0.0 if bp.mean == 0.0 else (bp.mean - hca.mean) / bp.mean
         if bp.runs >= 2 and hca.runs >= 2:
-            t, _ = welch_one_sided(bp.mean, bp.std, bp.runs, hca.mean, hca.std, hca.runs)
+            t, _ = _welch_t(bp.mean, bp.std, bp.runs, hca.mean, hca.std, hca.runs)
         else:
             t = math.nan
         out.append(

@@ -8,6 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import CancelledError
 from dataclasses import fields, replace
 from typing import get_type_hints
 
@@ -94,14 +96,11 @@ def test_welch_matches_scipy():
     assert p == pytest.approx(ref.pvalue, rel=1e-12)
 
 
-def test_import_and_run_leave_scipy_unloaded():
-    # scipy.stats is slow to import and only welch_one_sided's p-value needs it
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded, as a printed list, after ``code`` runs in a
+    fresh interpreter that imports hcasim from this checkout."""
     src = os.path.dirname(os.path.dirname(hcasim.__file__))
-    code = (
-        "import sys, hcasim\n"
-        "hcasim.run(hcasim.grid_config(roads_per_direction=2, horizon=5))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -109,7 +108,24 @@ def test_import_and_run_leave_scipy_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout == "[]\n"
+    return out.stdout.splitlines()[-1]
+
+
+def test_import_and_run_leave_scipy_unloaded():
+    # scipy.stats is slow to import and only welch_one_sided's p-value needs it
+    code = "import hcasim\nhcasim.run(hcasim.grid_config(roads_per_direction=2, horizon=5))"
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_compare_leaves_scipy_unloaded(tmp_path):
+    # the compare CSV holds the Welch t alone, which needs no scipy
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("[scenario]\nkind = grid\nroads_per_direction = 2\n")
+    argv = ["compare", "--scenario", f"file:{cfg}", "--q-list", "0.1,0.2", "--steps", "20",
+            "--runs", "2", "--jobs", "1", "--out", str(tmp_path / "c.csv")]
+    code = f"import hcasim.cli\nassert hcasim.cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.filterwarnings("ignore:Precision loss occurred")
@@ -223,16 +239,19 @@ def test_run_many_parallel_equals_serial():
     assert serial == parallel
 
 
-def _in_process_pools(monkeypatch, log: list | None = None) -> list[int]:
+def _in_process_pools(monkeypatch, log: list | None = None, clock: list | None = None) -> list[int]:
     """Replace the process pool with a stand-in that runs its batches in this
     process, so no worker is ever forked; returns the size of each pool
     started.
 
     Like a pool, the stand-in runs batches in the order they were submitted:
     a batch runs, after every batch queued before it, when its result is
-    first asked for.  ``shutdown`` runs what is still queued unless told to
-    cancel it.  Each submit and each result taken is appended to ``log`` as
-    ``(event, config, seeds)``.
+    first asked for.  With ``clock``, batches run ``max_workers`` at a time,
+    as the pool's workers would finish them, and each such round adds 1 to
+    ``clock[0]``.  A batch calls its done-callbacks when it has run or is
+    cancelled, and can be cancelled until it runs.  ``shutdown`` runs what
+    is still queued unless told to cancel it.  Each submit and each result
+    taken is appended to ``log`` as ``(event, config, seeds)``.
     """
     import hcasim.experiments as mod
 
@@ -240,19 +259,47 @@ def _in_process_pools(monkeypatch, log: list | None = None) -> list[int]:
     log = [] if log is None else log
 
     class Batch:
-        def __init__(self, queue, fn, args):
-            self.queue, self.fn, self.args = queue, fn, args
+        def __init__(self, pool, fn, args):
+            self.pool, self.fn, self.args = pool, fn, args
             self.outcome = None
+            self.callbacks = []
+
+        def settle(self, outcome):
+            self.outcome = outcome
+            for callback in self.callbacks:
+                callback(self)
 
         def run(self):
             try:
-                self.outcome = (True, self.fn(*self.args))
+                self.settle((True, self.fn(*self.args)))
             except Exception as exc:
-                self.outcome = (False, exc)
+                self.settle((False, exc))
+
+        def cancel(self):
+            if self.outcome is not None:
+                return False
+            self.pool.queue.remove(self)
+            self.settle((False, CancelledError()))
+            return True
+
+        def add_done_callback(self, callback):
+            self.callbacks.append(callback)
+            if self.outcome is not None:
+                callback(self)
+
+        def done(self):
+            return self.outcome is not None
+
+        def cancelled(self):
+            return self.done() and isinstance(self.outcome[1], CancelledError)
+
+        def exception(self):
+            ok, value = self.outcome
+            return None if ok else value
 
         def result(self):
             while self.outcome is None:
-                self.queue.pop(0).run()
+                self.pool.run_round()
             log.append(("result", *self.args))
             ok, value = self.outcome
             if not ok:
@@ -262,18 +309,27 @@ def _in_process_pools(monkeypatch, log: list | None = None) -> list[int]:
     class InProcessPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
+            self.workers = max_workers
             self.queue: list[Batch] = []
 
         def submit(self, fn, *args):
             log.append(("submit", *args))
-            self.queue.append(Batch(self.queue, fn, args))
+            self.queue.append(Batch(self, fn, args))
             return self.queue[-1]
 
+        def run_round(self):
+            for _ in range(1 if clock is None else self.workers):
+                if self.queue:
+                    self.queue.pop(0).run()
+            if clock is not None:
+                clock[0] += 1
+
         def shutdown(self, wait=True, cancel_futures=False):
-            if not cancel_futures:
-                for batch in self.queue:
-                    batch.run()
-            self.queue.clear()
+            while self.queue:
+                if cancel_futures:
+                    self.queue[0].cancel()
+                else:
+                    self.queue.pop(0).run()
 
     monkeypatch.setattr(mod, "ProcessPoolExecutor", InProcessPool)
     return sizes
@@ -347,6 +403,31 @@ def test_one_run_cells_spread_over_the_jobs(monkeypatch):
     sizes = _in_process_pools(monkeypatch)
     assert compare_strategies(_tiny(), [0.1], runs=1, scenario="x", jobs=2) == serial
     assert sizes == [2]
+
+
+def test_the_eta_counts_the_batches_finished_side_by_side(monkeypatch, capsys):
+    import types
+
+    import hcasim.cli
+
+    clock = [0.0]
+    monkeypatch.setattr(hcasim.cli, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    _in_process_pools(monkeypatch, clock=clock)
+    # two workers finish six whole-cell batches two at a time, one per tick
+    rows = compare_strategies(_tiny(), [0.1, 0.2, 0.3], 2, "x", jobs=2,
+                              progress=hcasim.cli._progress(6))
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" [cell")[0] for line in lines] == [
+        f"  x q={r.q:g} {r.variant}: mean={r.mean:.1f} std={r.std:.1f} (2 runs)" for r in rows
+    ]
+    assert [line.split(" [")[1] for line in lines] == [
+        "cell 1/6, 1.0s elapsed, ETA 2.0s]",
+        "cell 2/6, 1.0s elapsed, ETA 2.0s]",
+        "cell 3/6, 2.0s elapsed, ETA 1.0s]",
+        "cell 4/6, 2.0s elapsed, ETA 1.0s]",
+        "cell 5/6, 3.0s elapsed, ETA 0.0s]",
+        "cell 6/6, 3.0s elapsed, ETA 0.0s]",
+    ]
 
 
 # every seed draws, numbers its vehicles and ends as it does alone
@@ -444,6 +525,38 @@ def test_a_failed_cell_cancels_the_batches_not_started(monkeypatch):
     assert [r.variant for r in exc_info.value.partial] == ["alpha=0.000"]
     assert sizes == [2]
     assert 3.0 not in ALPHAS_RUN
+
+
+def _logs_alpha_and_fails_at_one(config, seeds):
+    # module level, so that a pool worker can unpickle it; the log file is
+    # named in the environment, which every worker inherits
+    with open(os.environ["HCASIM_TEST_ALPHA_LOG"], "a") as fh:
+        fh.write(f"{config.alpha}\n")
+    if config.alpha == 1.0:
+        raise RuntimeError("disk full")
+    time.sleep(1.0 if config.alpha == 0.0 else 0.05)
+    return run_seeds(config, seeds)
+
+
+def test_a_failed_cell_stops_the_later_batches_of_a_real_pool(monkeypatch, tmp_path):
+    import hcasim.experiments as mod
+
+    log = tmp_path / "alphas"
+    monkeypatch.setenv("HCASIM_TEST_ALPHA_LOG", str(log))
+    monkeypatch.setattr(mod, "run_seeds", _logs_alpha_and_fails_at_one)
+    jobs = 2
+    # Alpha 1 fails at once while alpha 0 sleeps, so the cells are collected
+    # long after the failure.  By then a pool without cancellation has run
+    # every batch.  With it, only the batches the pool had already handed
+    # out may run: one per worker, the next one the failed batch's worker
+    # takes, and the jobs + 1 in the executor's call queue.
+    handed_out = jobs + 1 + (jobs + 1)
+    with pytest.raises(SweepError, match="alpha=1") as exc_info:
+        sweep_alpha(_tiny(), [float(a) for a in range(10)], runs=2, scenario="x", jobs=jobs)
+    assert [r.variant for r in exc_info.value.partial] == ["alpha=0.000"]
+    ran = sorted(float(line) for line in log.read_text().split())
+    assert ran[:2] == [0.0, 1.0]
+    assert max(ran) < handed_out
 
 
 def test_an_interrupt_cancels_the_batches_not_started(monkeypatch):

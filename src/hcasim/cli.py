@@ -3,7 +3,7 @@
 Three subcommands cover the common workflows:
 
 * ``run``: one simulation, metrics as ``key=value`` lines on stdout.
-* ``sweep``: mean stop delay across a coordination-weight grid, CSV out.
+* ``sweep``: mean stop delay at each of a list of coordination weights, CSV out.
 * ``compare``: paired pressure-only vs. coordinated comparison over a list
   of demand levels, CSV out.
 
@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage, 2 bad configuration, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -34,9 +33,10 @@ from .experiments import (
     write_sweep_csv,
 )
 from .model import ConfigError, SimConfig, SimulationError
-from .scenarios import SCENARIOS, load_config
+from .scenarios import SCENARIOS, _comma_list, load_config
 
 _DEFAULT_Q_LIST = "0.05,0.075,0.1,0.125,0.15"
+_DEFAULT_ALPHA_LIST = ",".join(f"{i / 10:g}" for i in range(21))  # 0,0.1,...,2
 _DEFAULT_JOBS = os.cpu_count() or 1
 
 
@@ -61,7 +61,7 @@ def _list_arg(kind: type, what: str) -> Callable[[str], tuple]:
 
     def parse(value: str) -> tuple:
         try:
-            return tuple(kind(part) for part in value.split(","))
+            return _comma_list(kind, value)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {what}, got {value!r}"
@@ -69,8 +69,6 @@ def _list_arg(kind: type, what: str) -> Callable[[str], tuple]:
 
     return parse
 
-
-_q_list_arg = _list_arg(float, "demand levels")
 
 # flag -> SimConfig field; a flag that was given replaces the scenario's value
 _OVERRIDES = {
@@ -148,35 +146,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-_MAX_ALPHA_POINTS = 10_001
-
-
-def _alpha_grid(start: float, stop: float, step: float) -> list[float]:
-    for flag, x in (("from", start), ("to", stop), ("step", step)):
-        if not math.isfinite(x):
-            raise ConfigError(f"--alpha-{flag} {x}: must be finite")
-    if step <= 0:
-        raise ConfigError(f"alpha step {step}: must be > 0")
-    if stop < start:
-        raise ConfigError(f"empty alpha range [{start}, {stop}]")
-    # the number of points the loop below would produce, known before it runs
-    span = (stop + 1e-9 - start) / step
-    points = math.floor(span) + 1 if math.isfinite(span) else span
-    if points > _MAX_ALPHA_POINTS:
-        raise ConfigError(
-            f"alpha grid [{start}, {stop}] step {step} has {points} points: "
-            f"at most {_MAX_ALPHA_POINTS}"
-        )
-    out: list[float] = []
-    i = 0
-    x = start
-    while x <= stop + 1e-9:
-        out.append(round(x, 10))
-        i += 1
-        x = start + i * step
-    return out
-
-
 def _progress(cells: int) -> Callable[[SweepResult], None]:
     """A stderr line per finished cell of ``cells``, ending with the time
     elapsed and an ETA from the share of the work done so far."""
@@ -249,13 +218,13 @@ def _write_compare(path: str, rows: list[SweepResult]) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _base_config(args)
-    alphas = _alpha_grid(args.alpha_from, args.alpha_to, args.alpha_step)
     return _experiment(
         args,
         cfg,
-        [f"alpha={a:.3f}" for a in alphas],
+        [f"alpha={a:.3f}" for a in args.alpha_list],
         lambda: sweep_alpha(
-            cfg, alphas, args.runs, args.scenario, args.jobs, _progress(len(alphas))
+            cfg, args.alpha_list, args.runs, args.scenario, args.jobs,
+            _progress(len(args.alpha_list)),
         ),
         _write_sweep,
     )
@@ -326,9 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep the coordination weight")
     add_common(p_sweep)
     p_sweep.add_argument("--q", type=float, default=None, help="entry demand probability")
-    p_sweep.add_argument("--alpha-from", type=float, default=0.0)
-    p_sweep.add_argument("--alpha-to", type=float, default=2.0)
-    p_sweep.add_argument("--alpha-step", type=float, default=0.1)
+    p_sweep.add_argument(
+        "--alpha-list",
+        type=_list_arg(float, "coordination weights"),
+        default=_DEFAULT_ALPHA_LIST,
+        help="comma-separated coordination weights (default: 0,0.1,...,2)",
+    )
     add_experiment(p_sweep, "point", "alpha_sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -336,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
     p_cmp.add_argument(
         "--q-list",
-        type=_q_list_arg,
-        default=_q_list_arg(_DEFAULT_Q_LIST),
+        type=_list_arg(float, "demand levels"),
+        default=_DEFAULT_Q_LIST,
         help=f"comma-separated demand levels (default: {_DEFAULT_Q_LIST})",
     )
     p_cmp.add_argument(

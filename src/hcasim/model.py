@@ -484,6 +484,9 @@ def validate_topology(topology: NetworkTopology) -> list[str]:
     def lane_ok(i: int) -> bool:
         return 0 <= i < n_lanes
 
+    # the lanes some phase gives green; the node loop below checks that a
+    # phase's lanes end at its own node
+    served = {li for node in topology.intersections for phase in node.phases for li in phase}
     for li, lane in enumerate(topology.lanes):
         if lane.length < 1:
             report.append(f"lane {li}: length {lane.length} < 1")
@@ -492,6 +495,8 @@ def validate_topology(topology: NetworkTopology) -> list[str]:
             report.append(f"lane {li}: upstream intersection {lane.upstream} does not exist")
         if lane.downstream is not None and not 0 <= lane.downstream < n_nodes:
             report.append(f"lane {li}: downstream intersection {lane.downstream} does not exist")
+        elif lane.downstream is not None and li not in served:
+            report.append(f"lane {li}: no phase of intersection {lane.downstream} serves it")
         if lane.exits:
             total = sum(w for _, w in lane.exits)
             if abs(total - 1.0) > 1e-9:

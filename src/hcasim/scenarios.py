@@ -21,6 +21,7 @@ networks get the same treatment via :func:`derive_compatibility`.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .model import (
     ConfigError,
@@ -192,6 +193,13 @@ def arterial_config(
 # The built-in scenarios: `--scenario NAME` and a config file's `kind = NAME`.
 SCENARIOS = {"grid": grid_config, "arterial": arterial_config}
 
+
+def _comma_list(kind: type, text: str) -> tuple:
+    """The comma-separated ``kind`` values of ``text``, for a config key or a
+    CLI flag alike; raises ValueError on an empty or malformed value."""
+    return tuple(kind(part) for part in text.split(","))
+
+
 _TOP_KEYS = {
     "v_max": int,
     "p": float,
@@ -202,7 +210,7 @@ _TOP_KEYS = {
     "seed": int,
     "min_green": int,
     "stop_window": int,
-    "fixed_time_split": str,
+    "fixed_time_split": partial(_comma_list, int),
 }
 _SCENARIO_KEYS = {
     "kind": str,
@@ -268,17 +276,5 @@ def load_config(path: str) -> SimConfig:
             raise ConfigError(f"{path}: {key!r} is {owner}-only, not a {kind} key")
     if "block" in scen:
         scen["block_cells"] = scen.pop("block")
-
-    split_text = top.pop("fixed_time_split", None)
-    if split_text is not None:
-        try:
-            top["fixed_time_split"] = tuple(
-                int(part.strip()) for part in str(split_text).split(",")
-            )
-        except ValueError:
-            raise ConfigError(
-                f"{path}: invalid fixed_time_split {split_text!r} "
-                "(expected comma-separated integers)"
-            ) from None
 
     return SCENARIOS[kind](**top, **scen)

@@ -1,4 +1,5 @@
 import sys
+from concurrent.futures import CancelledError
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,102 @@ def replica_view(sim: Simulation, replica: int):
     pi = sim.node_states.pi[replica * nodes : (replica + 1) * nodes]
     own = slice(replica * lanes, (replica + 1) * lanes)
     return pi, sim.occupancy[own], sim.backlog[own], sim.gamma[own]
+
+
+def _in_process_pools(monkeypatch, log: list | None = None, clock: list | None = None) -> list[int]:
+    """Replace the process pool with a stand-in that runs its batches in this
+    process, so no worker is ever forked; returns the size of each pool
+    started.
+
+    Like a pool, the stand-in runs batches in the order they were submitted:
+    a batch runs, after every batch queued before it, when its result is
+    first asked for.  With ``clock``, batches run ``max_workers`` at a time,
+    as the pool's workers would finish them, and each such round adds 1 to
+    ``clock[0]``.  A batch calls its done-callbacks when it has run or is
+    cancelled, and can be cancelled until it runs.  ``shutdown`` runs what
+    is still queued unless told to cancel it.  Each submit and each result
+    taken is appended to ``log`` as ``(event, config, seeds)``.
+    """
+    import hcasim.experiments as mod
+
+    sizes: list[int] = []
+    log = [] if log is None else log
+
+    class Batch:
+        def __init__(self, pool, fn, args):
+            self.pool, self.fn, self.args = pool, fn, args
+            self.outcome = None
+            self.callbacks = []
+
+        def settle(self, outcome):
+            self.outcome = outcome
+            for callback in self.callbacks:
+                callback(self)
+
+        def run(self):
+            try:
+                self.settle((True, self.fn(*self.args)))
+            except Exception as exc:
+                self.settle((False, exc))
+
+        def cancel(self):
+            if self.outcome is not None:
+                return False
+            self.pool.queue.remove(self)
+            self.settle((False, CancelledError()))
+            return True
+
+        def add_done_callback(self, callback):
+            self.callbacks.append(callback)
+            if self.outcome is not None:
+                callback(self)
+
+        def done(self):
+            return self.outcome is not None
+
+        def cancelled(self):
+            return self.done() and isinstance(self.outcome[1], CancelledError)
+
+        def exception(self):
+            ok, value = self.outcome
+            return None if ok else value
+
+        def result(self):
+            while self.outcome is None:
+                self.pool.run_round()
+            log.append(("result", *self.args))
+            ok, value = self.outcome
+            if not ok:
+                raise value
+            return value
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            self.workers = max_workers
+            self.queue: list[Batch] = []
+
+        def submit(self, fn, *args):
+            log.append(("submit", *args))
+            self.queue.append(Batch(self, fn, args))
+            return self.queue[-1]
+
+        def run_round(self):
+            for _ in range(1 if clock is None else self.workers):
+                if self.queue:
+                    self.queue.pop(0).run()
+            if clock is not None:
+                clock[0] += 1
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            while self.queue:
+                if cancel_futures:
+                    self.queue[0].cancel()
+                else:
+                    self.queue.pop(0).run()
+
+    monkeypatch.setattr(mod, "ProcessPoolExecutor", InProcessPool)
+    return sizes
 
 
 @pytest.fixture

@@ -8,8 +8,11 @@ from dataclasses import fields
 
 import pytest
 
-from hcasim import arterial_config, run
-from hcasim.cli import _alpha_grid, build_parser, main
+import hcasim.experiments
+from hcasim import SimulationError, arterial_config, run
+from hcasim.cli import build_parser, main
+from hcasim.engine import run_seeds
+from conftest import _in_process_pools
 
 
 # --- exit codes -----------------------------------------------------------------
@@ -62,22 +65,11 @@ def test_unwritable_output_is_runtime_error(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(hcasim.cli, "write_sweep_csv", disk_full)
     code = main(
-        ["sweep", "--alpha-from", "0", "--alpha-to", "0", "--alpha-step", "1",
-         "--runs", "1", "--steps", "5", "--jobs", "1",
+        ["sweep", "--alpha-list", "0", "--runs", "1", "--steps", "5", "--jobs", "1",
          "--out", str(tmp_path / "x.csv")]
     )
     assert code == 3
     assert "error: disk full" in capsys.readouterr().err
-
-
-def test_empty_alpha_range_is_config_error(capsys):
-    assert main(["sweep", "--alpha-from", "1", "--alpha-to", "0.5", "--steps", "5"]) == 2
-    assert "empty alpha range" in capsys.readouterr().err
-
-
-def test_zero_alpha_step_is_config_error(capsys):
-    assert main(["sweep", "--alpha-step", "0", "--steps", "5"]) == 2
-    assert "must be > 0" in capsys.readouterr().err
 
 
 def test_zero_steps_is_config_error_not_default_horizon(capsys):
@@ -96,17 +88,23 @@ def test_negative_seed_is_config_error(capsys):
 
 @pytest.fixture
 def no_runs(monkeypatch, tmp_path):
-    """Fail the test if any simulation starts; output files land in tmp_path."""
+    """Fail the test if any simulation starts; output files land in tmp_path.
+
+    Pools run their batches in this process and never fork; the fixture's
+    value lists the size of each pool started.
+    """
     import hcasim.cli
-    import hcasim.experiments
 
     monkeypatch.chdir(tmp_path)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a simulation started")
 
+    pools = _in_process_pools(monkeypatch)
     monkeypatch.setattr(hcasim.cli, "run", refuse)
     monkeypatch.setattr(hcasim.experiments, "run_many", refuse)
+    monkeypatch.setattr(hcasim.experiments, "run_seeds", refuse)
+    return pools
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -127,7 +125,7 @@ def test_non_finite_alpha_in_config_file_is_config_error(tmp_path, capsys, no_ru
 def _sweep_and_compare(*flags):
     tiny = ["--steps", "5"]
     return [
-        ["sweep", "--alpha-from", "0", "--alpha-to", "0", "--alpha-step", "1", *tiny, *flags],
+        ["sweep", "--alpha-list", "0", *tiny, *flags],
         ["compare", "--q-list", "0.1", *tiny, *flags],
     ]
 
@@ -149,41 +147,39 @@ def test_nonpositive_jobs_is_config_error(argv, capsys, no_runs):
 def test_jobs_above_the_core_count_is_capped_with_a_note(tmp_path, monkeypatch, capsys):
     import os
 
-    import hcasim.experiments
-    from hcasim import MetricsRecord
-
-    calls = []
-
-    def recording(config, runs, base_seed=None, jobs=1, on_result=None):
-        calls.append(jobs)
-        return [MetricsRecord(10 + i, 0, 0, 0, 5, config.seed + i, "") for i in range(runs)]
-
+    pools = _in_process_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(hcasim.experiments, "run_many", recording)
+    # uncapped, 3 jobs would split the 2 cells into 4 batches on 3 workers
     argv = ["compare", "--q-list", "0.1", "--steps", "5", "--runs", "2", "--jobs", "3",
             "--out", str(tmp_path / "c.csv")]
     assert main(argv) == 0
-    assert calls == [2, 2]
+    assert pools == [2]
     assert "note: --jobs 3 > 2 cores: using 2 workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["", "0,,1", "0,x"])
+def test_malformed_alpha_list_is_usage_error(value, capsys, no_runs):
+    assert main(["sweep", "--alpha-list", value, "--steps", "5"]) == 1
+    assert "expected comma-separated coordination weights" in capsys.readouterr().err
+    assert no_runs == []
+
+
 @pytest.mark.parametrize(
-    "flag, value, fragment",
+    "value, fragment",
     [
-        ("--alpha-to", "inf", "--alpha-to inf: must be finite"),
-        ("--alpha-step", "nan", "--alpha-step nan: must be finite"),
-        ("--alpha-from", "nan", "--alpha-from nan: must be finite"),
-        ("--alpha-step", "1e-12", "has 2000000001001 points: at most 10001"),
+        ("0,nan", "alpha=nan: must be >= 0 and finite"),
+        ("0,inf", "alpha=inf: must be >= 0 and finite"),
+        ("0,-1", "alpha=-1.0: must be >= 0 and finite"),
     ],
+    ids=["nan", "inf", "negative"],
 )
-def test_unbounded_alpha_grid_is_config_error(flag, value, fragment, capsys, no_runs):
-    # every value here is rejected before a list of alphas is built
-    argv = ["sweep", "--alpha-from", "0", "--alpha-to", "2", "--alpha-step", "0.1",
-            "--steps", "5"]
-    argv[argv.index(flag) + 1] = value
+def test_bad_weight_in_alpha_list_is_config_error(value, fragment, capsys, no_runs):
+    # every weight is checked before a pool or a simulation starts
+    argv = ["sweep", "--alpha-list", value, "--runs", "2", "--steps", "5", "--jobs", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and fragment in err
+    assert no_runs == []
 
 
 def test_zero_v_max_in_config_file_is_config_error(tmp_path, capsys, no_runs):
@@ -297,11 +293,12 @@ def test_repeated_demand_level_is_config_error(capsys, no_runs):
 
 
 def test_repeated_alpha_label_is_config_error(capsys, no_runs):
-    # 0.0005 steps print as alpha=0.001 twice and alpha=0.002 twice
-    argv = ["sweep", "--alpha-from", "0", "--alpha-to", "0.002", "--alpha-step", "0.0005",
-            "--runs", "1", "--steps", "5", "--jobs", "1"]
+    # 0.0005 prints as alpha=0.001, the label of the next weight
+    argv = ["sweep", "--alpha-list", "0.0005,0.001", "--runs", "2", "--steps", "5",
+            "--jobs", "2"]
     assert main(argv) == 2
     assert "variant alpha=0.001 repeats" in capsys.readouterr().err
+    assert no_runs == []
 
 
 # --- run subcommand ----------------------------------------------------------------
@@ -368,8 +365,8 @@ def test_run_from_config_file_with_overrides(tmp_path, capsys):
 def _tiny_sweep_argv(out, **extra):
     argv = [
         "sweep", "--scenario", "arterial", "--q", "0.2",
-        "--alpha-from", "0", "--alpha-to", "0.2", "--alpha-step", "0.1",
-        "--runs", "2", "--steps", "30", "--jobs", "1", "--out", str(out),
+        "--alpha-list", "0,0.1,0.2", "--runs", "2", "--steps", "30", "--jobs", "1",
+        "--out", str(out),
     ]
     for k, v in extra.items():
         argv += [k, str(v)]
@@ -401,11 +398,64 @@ def test_sweep_single_run_flags_degenerate_std(tmp_path, capsys):
     assert all(r["std"] == "0.000000" for r in rows)
 
 
-def test_alpha_grid_covers_endpoints():
-    grid = _alpha_grid(0.0, 2.0, 0.1)
-    assert len(grid) == 21
-    assert grid[0] == 0.0 and grid[-1] == 2.0
-    assert _alpha_grid(0.5, 0.5, 0.25) == [0.5]
+def test_default_alpha_list_is_21_weights_from_0_to_2():
+    alphas = build_parser().parse_args(["sweep"]).alpha_list
+    assert alphas == tuple(round(0.1 * i, 10) for i in range(21))
+    assert alphas[0] == 0.0 and alphas[-1] == 2.0
+
+
+def _failing_at_cell(n):
+    """A stand-in for ``run_seeds`` whose ``n``-th call fails; at --jobs 1
+    each cell's seeds run as one call, in cell order."""
+    calls = []
+
+    def run_or_fail(config, seeds):
+        calls.append(config)
+        if len(calls) == n:
+            raise SimulationError(f"cell {n} broke")
+        return run_seeds(config, seeds)
+
+    return run_or_fail
+
+
+_PARTIAL_RUNS = ["--runs", "2", "--steps", "20", "--jobs", "1", "--out", "x.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, failing_cell, finished",
+    [
+        (["sweep", "--alpha-list", "0,1", *_PARTIAL_RUNS], 2, ["alpha=0.000"]),
+        # the pair at q 0.2 lost its hca cell: it is dropped, not half written
+        (["compare", "--q-list", "0.1,0.2", *_PARTIAL_RUNS], 4, ["0.100000"]),
+    ],
+    ids=["sweep", "compare"],
+)
+def test_failed_cell_writes_the_finished_rows_as_partial(
+    argv, failing_cell, finished, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hcasim.experiments, "run_seeds", _failing_at_cell(failing_cell))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "sweep failed: " in err and f"cell {failing_cell} broke" in err
+    assert "wrote 1 partial rows to x.csv" in err
+    rows = list(csv.DictReader((tmp_path / "x.csv").open()))
+    assert [r["variant" if argv[0] == "sweep" else "q"] for r in rows] == finished
+    assert json.loads((tmp_path / "x.csv.meta.json").read_text())["partial"] is True
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--alpha-list", "0,1"], ["compare", "--q-list", "0.1"]],
+    ids=["sweep", "compare"],
+)
+def test_failed_first_cell_writes_no_output(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hcasim.experiments, "run_seeds", _failing_at_cell(1))
+    assert main(argv + _PARTIAL_RUNS) == 3
+    err = capsys.readouterr().err
+    assert "sweep failed: " in err and "cell 1 broke" in err and "partial" not in err
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.csv.meta.json").exists()
 
 
 # --- compare subcommand ------------------------------------------------------------------
@@ -480,7 +530,7 @@ def test_subcommand_help_lists_every_flag(sub, capsys):
 def test_help_states_defaults(capsys):
     main(["sweep", "--help"])
     text = capsys.readouterr().out
-    assert "default: grid" in text
+    assert "default: grid" in text and "0,0.1,...,2" in text
     main(["compare", "--help"])
     text = capsys.readouterr().out
     assert "0.05,0.075,0.1,0.125,0.15" in text

@@ -301,27 +301,37 @@ def _ref_kwargs(cfg: SimConfig) -> dict:
     )
 
 
-def _lockstep(cfg: SimConfig, steps: int) -> None:
+def _lockstep(cfg: SimConfig, steps: int, seeds: range | None = None) -> None:
+    """Step ``cfg`` and the reference together and compare every lane, node,
+    signal and the delay after each step: ``cfg`` alone and as replica 1 of
+    three, or with ``seeds``, one batch of them with a reference per seed."""
     nodes = cfg.topology.n_intersections
-    for form, sim, r in alone_and_in_batch(cfg, check_invariants=True):
-        ref = RefSim(cfg.topology, **_ref_kwargs(cfg))
+    if seeds is None:
+        forms = [(form, sim, {r: cfg}) for form, sim, r in alone_and_in_batch(cfg, True)]
+    else:
+        batch = Simulation(cfg, True, seeds=seeds)
+        forms = [("batch", batch, {r: replace(cfg, seed=s) for r, s in enumerate(seeds)})]
+    for form, sim, replicas in forms:
+        refs = {r: RefSim(c.topology, **_ref_kwargs(c)) for r, c in replicas.items()}
         for t in range(steps):
             sim.step()
-            ref.step()
-            lanes = ref.lane_snapshot()
-            per_lane = lanes_of(sim.state, r)
-            for li, lane in enumerate(cfg.topology.lanes):
-                # the reference stores an exit lane's last cell on each vehicle
-                dest = lane.length - 1 if lane.downstream is None else None
-                got = tuple((cell, vid, speed, dest) for cell, speed, vid in per_lane[li])
-                assert got == lanes[li], f"{form}: lane {li} diverged at step {t}"
-            node_states = list(sim.node_states)[r * nodes : (r + 1) * nodes]
-            assert [(s.pi, s.tau) for s in node_states] == ref.node_snapshot(), (
-                f"{form}: controller diverged at step {t}"
-            )
-            gamma = replica_view(sim, r)[3]
-            assert gamma.tolist() == list(ref.gamma), f"{form}: signals diverged at step {t}"
-            assert sim.total_stop_delay[r] == ref.total_delay, f"{form}: delay diverged at {t}"
+            for r, ref in refs.items():
+                ref.step()
+                at = f"{form} replica {r}: at step {t}"
+                lanes = ref.lane_snapshot()
+                per_lane = lanes_of(sim.state, r)
+                for li, lane in enumerate(cfg.topology.lanes):
+                    # the reference stores an exit lane's last cell on each vehicle
+                    dest = lane.length - 1 if lane.downstream is None else None
+                    got = tuple((cell, vid, speed, dest) for cell, speed, vid in per_lane[li])
+                    assert got == lanes[li], f"{at}, lane {li} diverged"
+                node_states = list(sim.node_states)[r * nodes : (r + 1) * nodes]
+                assert [(s.pi, s.tau) for s in node_states] == ref.node_snapshot(), (
+                    f"{at}, the controller diverged"
+                )
+                gamma = replica_view(sim, r)[3]
+                assert gamma.tolist() == list(ref.gamma), f"{at}, signals diverged"
+                assert sim.total_stop_delay[r] == ref.total_delay, f"{at}, delay diverged"
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47, 61, 89, 97])
@@ -346,6 +356,14 @@ def test_lockstep_with_reference_with_entries_sharing_a_cell():
     # two entries feed lane 0's first cell; while it is taken both arrivals wait
     topo = replace(cross_topology(), entry_points=((0, 0), (1, 0), (0, 0)))
     _lockstep(SimConfig(topo, q=0.6, seed=6, horizon=200), 200)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 1.0])
+def test_lockstep_with_reference_with_a_shared_entry_cell_and_a_mid_lane_entry(q):
+    # entries 0 and 2 share lane 0's first cell, of which the first places;
+    # entry 3 places mid-lane, in the path of entry 0's vehicles
+    topo = replace(cross_topology(), entry_points=((0, 0), (1, 0), (0, 0), (0, 3)))
+    _lockstep(SimConfig(topo, q=q, horizon=300), 300, seeds=range(20))
 
 
 @pytest.mark.parametrize("seed", [11, 47, 89, 97])

@@ -1,6 +1,7 @@
 """Domain types: configuration validation, digests, structural checks."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hcasim import (
     LaneDescriptor,
     NetworkTopology,
     SimConfig,
+    Simulation,
     config_digest,
     grid_config,
     topology_digest,
@@ -227,6 +229,54 @@ def test_validator_entry_points(cross):
     assert any("entry 0" in v for v in validate_topology(bad))
     off = NetworkTopology(cross.lanes, cross.intersections, ((0, 10),))
     assert any("outside lane" in v for v in validate_topology(off))
+
+
+@pytest.mark.parametrize("inbound", [(0, 1), (0, 1, 4)], ids=["not-inbound", "inbound"])
+def test_validator_reports_a_lane_no_phase_serves(cross, inbound):
+    # lane 4 ends at intersection 0, but neither phase gives it green, so its
+    # vehicles would queue at the stop line for ever
+    lanes = cross.lanes + (LaneDescriptor(10, None, 0, ((2, 1.0),)),)
+    node = dataclasses.replace(cross.intersections[0], inbound_lanes=inbound)
+    bad = NetworkTopology(lanes, (node,), cross.entry_points + ((4, 0),))
+    assert validate_topology(bad) == ["lane 4: no phase of intersection 0 serves it"]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            lambda t: _mutate(t, exits=((9, 1.0),)),
+            "lane 0: exit target lane 9 does not exist",
+        ),
+        (
+            lambda t: _mutate(t, exits=((2, 1.5), (3, -0.5))),
+            "lane 0: exit probability 1.5 out of range",
+        ),
+        (
+            lambda t: _with_node(t, IntersectionDescriptor((), ((0,), (1,)))),
+            "intersection 0: empty inbound lane set",
+        ),
+        (
+            lambda t: _with_node(t, IntersectionDescriptor((0, 1, 9), ((0,), (1,)))),
+            "intersection 0: inbound lane 9 does not exist",
+        ),
+        (
+            lambda t: _with_node(
+                t,
+                IntersectionDescriptor(
+                    (0, 1), ((0,), (1,)), ((0, 20),), frozenset({(0, 5, 1)})
+                ),
+            ),
+            "intersection 0: compatibility neighbor phase 5 invalid for intersection 0",
+        ),
+    ],
+    ids=["exit-target", "exit-probability", "empty-inbound", "inbound-lane", "neighbor-phase"],
+)
+def test_validator_report_stops_a_simulation(cross, change, message):
+    bad = change(cross)
+    assert message in validate_topology(bad)
+    with pytest.raises(ConfigError, match=f"^invalid topology: .*{re.escape(message)}"):
+        Simulation(SimConfig(topology=bad))
 
 
 @settings(max_examples=30, deadline=None)

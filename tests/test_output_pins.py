@@ -67,8 +67,8 @@ def test_run_out_bytes_file_with_overrides(tmp_path, capsys, file_scenario):
 
 def test_sweep_bytes_builtin(tmp_path, capsys):
     argv = [
-        "sweep", "--scenario", "arterial", "--q", "0.2", "--alpha-from", "0",
-        "--alpha-to", "0.5", "--alpha-step", "0.25", "--runs", "2", "--steps", "80",
+        "sweep", "--scenario", "arterial", "--q", "0.2", "--alpha-list", "0,0.25,0.5",
+        "--runs", "2", "--steps", "80",
         "--seed", "4", "--jobs", "1",
     ]
     assert _outputs(tmp_path, argv, capsys) == [
@@ -80,7 +80,7 @@ def test_sweep_bytes_builtin(tmp_path, capsys):
 def test_sweep_bytes_file_with_overrides(tmp_path, capsys, file_scenario):
     argv = [
         "sweep", "--scenario", file_scenario, "--q", "0.2", "--seed", "7",
-        "--alpha-from", "0", "--alpha-to", "1", "--alpha-step", "0.5",
+        "--alpha-list", "0,0.5,1",
         "--runs", "2", "--jobs", "1",
     ]
     assert _outputs(tmp_path, argv, capsys) == [

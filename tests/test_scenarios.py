@@ -407,7 +407,7 @@ def test_load_config_fixed_time_split(tmp_path):
         ("[scenario]\nkind = arterial\nroads_per_direction = 2\n", "grid-only"),
         (
             "fixed_time_split = 20,x\n[scenario]\nkind = grid\n",
-            "invalid fixed_time_split",
+            r":1: invalid value '20,x' for 'fixed_time_split'",
         ),
         ("p = 1.5\n[scenario]\nkind = grid\n", "probability out of range"),
         ("v_max = 0\n[scenario]\nkind = grid\n", "v_max=0: must be >= 1"),

@@ -4,11 +4,14 @@ Step order, fixed by contract:
 
 1. arrivals are drawn and placed, then every vehicle moves synchronously
    under the signal indications chosen at the end of the previous step;
-2. lane occupancy and differential backlog are recomputed;
+2. lane occupancy and differential backlog are computed from the moved
+   vehicles when the selector reads them: the adaptive selectors do on every
+   step, a fixed-time plan never does, and its steps skip level 2;
 3. every intersection selects its next phase from the fresh backlogs and the
    previous step's neighbor states;
-4. the chosen phases fix the per-lane signal indications of the next move;
-   :attr:`Simulation.gamma` looks them up in a table, nothing stores them.
+4. the chosen phases fix the per-lane signal indications of the next move,
+   looked up in a table when the phase array changed since the last lookup
+   (on a fixed-time plan's hold steps it does not).
 
 Stop delay then accumulates: one unit per vehicle standing still at the end
 of the step, not counting vehicles placed this step.
@@ -73,6 +76,10 @@ class Simulation:
     step together on a network of disjoint copies of the topology, one copy
     and one :class:`RngStream` per seed, and :meth:`records` equal those of
     the runs alone.
+
+    To set the phases between steps, assign a new :attr:`node_states`: the
+    step reuses its signal bits while the ``pi`` array is the same object,
+    so a write into that array goes unseen.
     """
 
     def __init__(
@@ -103,15 +110,25 @@ class Simulation:
         self.node_states = Level3State(
             np.zeros(n_nodes, dtype=np.intp), np.zeros(n_nodes, dtype=np.intp)
         )
-        # The network starts empty, so every occupancy and backlog is 0; the
-        # first step compiles the topology's tables.
-        self.occupancy = np.zeros(self.topology.n_lanes, dtype=np.intp)
-        self.backlog = np.zeros(self.topology.n_lanes)
+        # the phases the signal bits were last looked up for, and the bits;
+        # the first step looks them up and compiles the topology's tables
+        self._lit_pi: np.ndarray | None = None
+        self._bits: np.ndarray | None = None
         self.t = 0
         # per replica, in seed order
         self.total_stop_delay = np.zeros(replicas, dtype=np.intp)
         self.removed_total = np.zeros(replicas, dtype=np.intp)
         self.last_stopped = np.zeros(replicas, dtype=np.intp)
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Vehicles on each lane now."""
+        return compute_occupancy(self.state)
+
+    @property
+    def backlog(self) -> np.ndarray:
+        """Differential backlog of each lane now."""
+        return compute_backlog(compute_occupancy(self.state), self.topology)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -121,14 +138,20 @@ class Simulation:
     def step(self) -> None:
         cfg = self.config
         placed_from = self.injector.inject(self.state, self.rngs)
-        gamma = signal_bits(self.node_states.pi, self.topology.tables)
+        pi = self.node_states.pi
+        if pi is not self._lit_pi:
+            self._lit_pi, self._bits = pi, signal_bits(pi, self.topology.tables)
         self.removed_total += advance_all(
-            self.state, self.topology, gamma, cfg.v_max, cfg.p, self.rngs
+            self.state, self.topology, self._bits, cfg.v_max, cfg.p, self.rngs
         )
 
-        self.occupancy = compute_occupancy(self.state)
-        self.backlog = compute_backlog(self.occupancy, self.topology)
-        self.node_states = self.selector.select(self.topology, self.backlog, self.node_states)
+        selector = self.selector
+        backlog = (
+            compute_backlog(compute_occupancy(self.state), self.topology)
+            if selector.reads_backlog
+            else None
+        )
+        self.node_states = selector.select(self.topology, backlog, self.node_states)
 
         self.last_stopped = count_stopped(self.state, cfg.stop_window, placed_from)
         self.total_stop_delay += self.last_stopped

@@ -101,6 +101,7 @@ class TopologyTables(NamedTuple):
     exit_last: np.ndarray     # [lanes]: index of the last exit, -1 on a network-exit lane
     key_stride: int           # the longest lane: lane * key_stride - cell orders the arrays
     entry_key: np.ndarray     # [entries]: that key of each entry cell
+    entry_columns: np.ndarray # [4, entries]: a vehicle placed at each entry, id 0
     signal_node: np.ndarray   # [lanes]: the downstream node, -1 on a network-exit lane
     signal_row: np.ndarray    # [lanes]: lane * max phases, a lane's row of signal_green
     signal_green: np.ndarray  # [lanes * max phases]: flat [lane, phase] signal bit
@@ -155,6 +156,8 @@ def _compile_tables(
     exit_cum = np.where(np.arange(width)[:, None] < exit_last, exit_weights.cumsum(axis=0), np.inf)
     stride = int(lane_length.max(initial=1))
     entry_key = np.array([li * stride - c for li, c in entry_points], dtype=np.intp)
+    entry_columns = np.zeros((4, len(entry_points)), dtype=np.intp)
+    entry_columns[:2] = np.array(entry_points, dtype=np.intp).reshape(-1, 2).T
     # a lane is green under each phase of its downstream node that lists it,
     # a network-exit lane (node -1) under every phase
     downstream = [lane.downstream for lane in lanes]
@@ -166,7 +169,7 @@ def _compile_tables(
         exit_targets, exit_weights, phase_lanes, phase_base,
         n_phases * np.arange(len(nodes)), (nbr, nbr_phase, travel),
         lane_length, lane_length - 1, np.where(exit_last < 0, _UNBOUNDED, 0),
-        exit_cum, exit_last, stride, entry_key,
+        exit_cum, exit_last, stride, entry_key, entry_columns,
         signal_node, n_phases * np.arange(len(lanes)), green.ravel(),
         np.array([len(node.phases) for node in nodes], dtype=np.uintp),
     )

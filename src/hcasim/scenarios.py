@@ -41,18 +41,22 @@ def derive_compatibility(topology: NetworkTopology, v_max: int) -> NetworkTopolo
     coordination neighbor, at the connecting lane's free-flow travel time
     (length over ``v_max``, rounded up).  An upstream phase is compatible
     with a local phase when some lane it serves releases traffic onto a lane
-    the local phase serves.
+    the local phase serves.  A lane or node id that names nothing is
+    skipped, so that :func:`validate_topology` on the result reports it.
     """
     if v_max < 1:
         raise ConfigError(f"v_max={v_max}: must be >= 1")
+    n_lanes, n_nodes = len(topology.lanes), len(topology.intersections)
     nodes = []
     for node in topology.intersections:
         neighbors: dict[int, int] = {}
         compat: set[tuple[int, int, int]] = set()
         for li in node.inbound_lanes:
+            if not 0 <= li < n_lanes:
+                continue
             lane = topology.lanes[li]
             up = lane.upstream
-            if up is None:
+            if up is None or not 0 <= up < n_nodes:
                 continue
             travel = math.ceil(lane.length / v_max)
             neighbors[up] = min(neighbors.get(up, travel), travel)
@@ -60,7 +64,8 @@ def derive_compatibility(topology: NetworkTopology, v_max: int) -> NetworkTopolo
             feeders = [
                 ul
                 for ul in up_node.inbound_lanes
-                if any(t == li and w > 0.0 for t, w in topology.lanes[ul].exits)
+                if 0 <= ul < n_lanes
+                and any(t == li and w > 0.0 for t, w in topology.lanes[ul].exits)
             ]
             if not feeders:
                 continue

@@ -75,6 +75,8 @@ class AdaptiveSelector:
     coordination term is not evaluated at all.
     """
 
+    reads_backlog = True  # the engine computes level 2 for it every step
+
     def __init__(self, alpha: float, min_green: int = 0):
         self.alpha = alpha
         self.min_green = min_green
@@ -112,8 +114,12 @@ class FixedTimeSelector:
 
     ``split[j]`` is the green time of phase ``j`` (indexed modulo the split
     length when an intersection has more phases than the split names).
-    Zero-duration phases are skipped.
+    Zero-duration phases are skipped.  The plan never reads the backlog, so
+    the engine hands it None.  On a step where every node holds its phase,
+    the result shares its input's ``pi`` array.
     """
+
+    reads_backlog = False
 
     def __init__(self, split: Sequence[int]):
         self.split = tuple(split)
@@ -142,7 +148,7 @@ class FixedTimeSelector:
     def select(
         self,
         topology: NetworkTopology,
-        backlog: Sequence[float],
+        backlog: Sequence[float] | None,
         states: Level3State,
     ) -> Level3State:
         if self._plan is None or self._plan[0] is not topology:
@@ -151,8 +157,11 @@ class FixedTimeSelector:
         pi, tau = states.pi, states.tau
         at = topology.tables.phase_row + pi
         # a phase with green time G is active for tau = 0 .. G-1
-        hold = tau + 1 < duration.take(at)
-        return Level3State(np.where(hold, pi, following.take(at)), np.where(hold, tau + 1, 0))
+        held = tau + 1
+        hold = held < duration.take(at)
+        if np.count_nonzero(hold) == hold.size:
+            return Level3State(pi, held)
+        return Level3State(np.where(hold, pi, following.take(at)), np.where(hold, held, 0))
 
 
 def controller_strategy(config: SimConfig):

@@ -185,9 +185,13 @@ def count_stopped(
     lane, cell, speed, vid = state.data
     stopped = speed == 0
     if first_new_id is not None:
-        new_from = np.asarray(first_new_id)
-        if new_from.size > 1:
-            new_from = new_from.repeat(state.per_replica(lane))
+        if state.replicas == 1:
+            # the one id, alone or in a sequence, compared as a scalar
+            new_from = first_new_id if np.ndim(first_new_id) == 0 else first_new_id[0]
+        else:
+            new_from = np.asarray(first_new_id)
+            if new_from.size > 1:
+                new_from = new_from.repeat(state.per_replica(lane))
         stopped &= vid < new_from
     if window is not None:
         stopped &= cell >= (state.lane_lengths - window).take(lane)
@@ -252,15 +256,13 @@ class InjectionProcess:
         if not placing:
             return None
         # in key order, so entries sharing an insert position keep the columns' order
-        placed = sorted(placing.items())
-        new = np.array(
-            [(*self.topology.entry_points[ei], 0, vid) for _, (_, vid, ei) in placed],
-            dtype=np.intp,
-        ).T
+        at, vid, entries = zip(*(placing[cell_key] for cell_key in sorted(placing)))
+        new = t.entry_columns.take(entries, axis=1)
+        new[3] = vid
         parts, prev = [], 0
-        for j, (_, (at, _, _)) in enumerate(placed):
-            parts += [data[:, prev:at], new[:, j : j + 1]]
-            prev = at
+        for j, pos in enumerate(at):
+            parts += [data[:, prev:pos], new[:, j : j + 1]]
+            prev = pos
         parts.append(data[:, prev:])
         state.data = np.concatenate(parts, axis=1)
         first_new_id, self.next_id = self.next_id, np.array(ids, dtype=np.intp)

@@ -22,6 +22,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hcasim
@@ -30,7 +31,7 @@ import hcasim.engine
 import hcasim.experiments
 import hcasim.signals
 from hcasim import Simulation, compare_strategies, grid_config, run_many, sweep_alpha
-from hcasim.model import IntersectionState
+from hcasim.model import IntersectionState, Level3State
 from hcasim.signals import AdaptiveSelector, FixedTimeSelector, controller_strategy
 
 from conftest import alone_and_in_batch
@@ -170,6 +171,14 @@ def test_select_returns_new_states_and_leaves_its_input(selector):
     assert out.pi.size == len(before)
     assert all(type(s.pi) is int and type(s.tau) is int for s in out)
     assert [(s.pi, s.tau) for s in states] == before
+    # a step on which every node holds: tau 0 is below the minimum green and
+    # every green time; the fixed-time plan then keeps the incumbent pi array
+    fresh = Level3State(states.pi, np.zeros_like(states.tau))
+    held = selector.select(sim.topology, sim.backlog, fresh)
+    assert held is not fresh
+    assert [(s.pi, s.tau) for s in held] == [(pi, 1) for pi, _ in before]
+    assert [(s.pi, s.tau) for s in fresh] == [(pi, 0) for pi, _ in before]
+    assert (held.pi is fresh.pi) == isinstance(selector, FixedTimeSelector)
 
 
 def test_adaptive_selector_exposes_alpha():

@@ -8,12 +8,14 @@ import io
 import random
 import re
 from dataclasses import fields, replace
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import hcasim.engine
 from hcasim import (
     ConfigError,
     LaneDescriptor,
@@ -28,8 +30,9 @@ from hcasim import (
     validate_topology,
 )
 from hcasim.engine import count_stopped, run_seeds, trace_columns
-from hcasim.lanes import apply_signal_indications, signal_bits
+from hcasim.lanes import apply_signal_indications, compute_backlog, compute_occupancy, signal_bits
 from hcasim.model import IntersectionState, Level1Arrays, Level3State, replicate
+from hcasim.vehicles import advance_all
 from netgen import random_config, random_topology
 from reference import RefSim
 
@@ -145,15 +148,30 @@ def _any_controller(draw):
 @given(cfg=_any_controller())
 def test_selectors_choose_phases_their_nodes_have(cfg):
     # the engine looks its signal bits up without apply_signal_indications'
-    # range check, which holds only because no selector leaves the range
-    for form, sim, _ in alone_and_in_batch(cfg):
-        counts = [len(node.phases) for node in sim.topology.intersections]
-        for _ in range(cfg.horizon):
-            sim.step()
-            pi = sim.node_states.pi
-            assert all(0 <= k < n for k, n in zip(pi.tolist(), counts)), form
-            unchecked = signal_bits(pi, sim.topology.tables)
-            assert unchecked.tolist() == apply_signal_indications(pi, sim.topology).tolist()
+    # range check, which holds only because no selector leaves the range;
+    # it looks them up again only when the phase array changed, so every
+    # move must still get the bits of the phases in force, also of phases
+    # a caller put in between steps
+    moves = []
+
+    def recording(state, topology, gamma, *rest):
+        moves.append(gamma.tolist())
+        return advance_all(state, topology, gamma, *rest)
+
+    with mock.patch.object(hcasim.engine, "advance_all", recording):
+        for form, sim, _ in alone_and_in_batch(cfg):
+            counts = [len(node.phases) for node in sim.topology.intersections]
+            for t in range(cfg.horizon):
+                if t == cfg.horizon // 2:
+                    pi = sim.node_states.pi
+                    sim.node_states = Level3State((pi + 1) % counts, np.zeros_like(pi))
+                in_force = apply_signal_indications(sim.node_states.pi, sim.topology)
+                sim.step()
+                assert moves.pop() == in_force.tolist(), f"{form}: step {t}"
+                pi = sim.node_states.pi
+                assert all(0 <= k < n for k, n in zip(pi.tolist(), counts)), form
+                unchecked = signal_bits(pi, sim.topology.tables)
+                assert unchecked.tolist() == apply_signal_indications(pi, sim.topology).tolist()
 
 
 def test_construction_leaves_topology_tables_uncompiled():
@@ -162,6 +180,36 @@ def test_construction_leaves_topology_tables_uncompiled():
         assert "tables" not in vars(sim.topology), form
         sim.step()
         assert "tables" in vars(sim.topology), form
+
+
+@pytest.mark.parametrize(
+    "strategy,per_step", [("fixed_time", 0), ("hca", 1), ("backpressure", 1)]
+)
+def test_level2_runs_only_for_a_selector_that_reads_backlog(monkeypatch, strategy, per_step):
+    # counted through the names the engine calls them by; occupancy and
+    # backlog read afterwards are computed from the state as it is then
+    calls = {"compute_occupancy": 0, "compute_backlog": 0}
+    for name in calls:
+        kernel = getattr(hcasim.engine, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(hcasim.engine, name, counted)
+    split = (20, 20) if strategy == "fixed_time" else None
+    cfg = arterial_config(q=0.3, horizon=60, seed=4, strategy=strategy, fixed_time_split=split)
+    run(cfg)
+    assert calls == dict.fromkeys(calls, 60 * per_step)
+    for form, sim, _ in alone_and_in_batch(cfg):
+        for t in range(cfg.horizon):
+            calls.update(dict.fromkeys(calls, 0))
+            sim.step()
+            assert calls == dict.fromkeys(calls, per_step), f"{form}: step {t}"
+            occupancy = compute_occupancy(sim.state)
+            assert sim.occupancy.tolist() == occupancy.tolist(), f"{form}: step {t}"
+            backlog = compute_backlog(occupancy, sim.topology)
+            assert sim.backlog.tolist() == backlog.tolist(), f"{form}: step {t}"
 
 
 # --- stage ordering ----------------------------------------------------------

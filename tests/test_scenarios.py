@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from hcasim import (
@@ -314,6 +316,33 @@ def test_derive_compatibility_keeps_fork_entry_only():
     # the only node is fed by network entries, so no coordination links exist
     assert out.intersections[0].neighbors == ()
     assert out.intersections[0].compatibility == frozenset()
+
+
+@pytest.mark.parametrize(
+    "where,bad,message",
+    [
+        ("upstream", 7, "lane 1: upstream intersection 7 does not exist"),
+        ("upstream", -1, "lane 1: upstream intersection -1 does not exist"),
+        ("inbound", 12, "intersection 3: inbound lane 12 does not exist"),
+        ("inbound", -1, "intersection 3: inbound lane -1 does not exist"),
+    ],
+)
+def test_derive_compatibility_skips_ids_that_name_nothing(where, bad, message):
+    # a bad id derives no link (a negative one indexes nothing from the end)
+    # and is left for validate_topology to report
+    grid = build_grid(2)
+    lanes, nodes = list(grid.lanes), list(grid.intersections)
+    if where == "upstream":
+        lanes[1] = replace(lanes[1], upstream=bad)
+        intact = replace(grid, lanes=(*lanes[:1], replace(lanes[1], upstream=None), *lanes[2:]))
+    else:
+        intact = grid
+        nodes[3] = replace(nodes[3], inbound_lanes=(*nodes[3].inbound_lanes, bad))
+    out = derive_compatibility(NetworkTopology(tuple(lanes), tuple(nodes), grid.entry_points), 2)
+    want = derive_compatibility(intact, 2)
+    links = [(n.neighbors, n.compatibility) for n in out.intersections]
+    assert links == [(n.neighbors, n.compatibility) for n in want.intersections]
+    assert message in validate_topology(out)
 
 
 # --- config factories -----------------------------------------------------------

@@ -483,10 +483,24 @@ def test_adaptive_kernel_matches_scalar_oracle(case, alpha, min_green):
 @given(case=_level3_case(), split=st.lists(st.integers(0, 3), min_size=1, max_size=4))
 def test_fixed_time_kernel_matches_scalar_oracle(case, split):
     topo, _, states = case
+    given_states = Level3State.of(states)
     try:
         want = _oracle_fixed(split, topo, states)
     except SimulationError as exc:
         with pytest.raises(SimulationError, match=str(exc)):
-            FixedTimeSelector(split).select(topo, [], Level3State.of(states))
+            FixedTimeSelector(split).select(topo, [], given_states)
         return
-    assert list(FixedTimeSelector(split).select(topo, [], Level3State.of(states))) == want
+    got = FixedTimeSelector(split).select(topo, [], given_states)
+    assert list(got) == want
+    assert list(given_states) == states
+    # when every node holds, the incumbent phase array is passed on
+    holds = want == [IntersectionState(s.pi, s.tau + 1) for s in states]
+    assert (got.pi is given_states.pi) == holds
+    # green times of 2 and more hold every node at tau 0
+    longer = [g + 2 for g in split]
+    fresh = [IntersectionState(s.pi, 0) for s in states]
+    given_states = Level3State.of(fresh)
+    got = FixedTimeSelector(longer).select(topo, [], given_states)
+    assert list(got) == _oracle_fixed(longer, topo, fresh)
+    assert got.pi is given_states.pi
+    assert list(given_states) == fresh

@@ -197,8 +197,9 @@ def _write_trace_row(writer, sim: Simulation) -> None:
     # Fixed decimal formatting keeps traces byte-comparable across platforms.
     row: list[str] = [str(sim.t)]
     row += [str(pi) for pi in sim.node_states.pi.tolist()]
-    row += [str(o) for o in sim.occupancy.tolist()]
-    row += [f"{d:.6f}" for d in sim.backlog.tolist()]
+    occupancy = compute_occupancy(sim.state)
+    row += [str(o) for o in occupancy.tolist()]
+    row += [f"{d:.6f}" for d in compute_backlog(occupancy, sim.topology).tolist()]
     row += [str(g) for g in sim.gamma.tolist()]
     row.append(str(sim.last_stopped[0]))
     writer.writerow(row)

@@ -185,13 +185,9 @@ def count_stopped(
     lane, cell, speed, vid = state.data
     stopped = speed == 0
     if first_new_id is not None:
-        if state.replicas == 1:
-            # the one id, alone or in a sequence, compared as a scalar
-            new_from = first_new_id if np.ndim(first_new_id) == 0 else first_new_id[0]
-        else:
-            new_from = np.asarray(first_new_id)
-            if new_from.size > 1:
-                new_from = new_from.repeat(state.per_replica(lane))
+        new_from = np.asarray(first_new_id)
+        if new_from.size > 1:
+            new_from = new_from.repeat(state.per_replica(lane))
         stopped &= vid < new_from
     if window is not None:
         stopped &= cell >= (state.lane_lengths - window).take(lane)

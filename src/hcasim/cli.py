@@ -32,7 +32,7 @@ from .experiments import (
     write_metrics_csv,
     write_sweep_csv,
 )
-from .model import ConfigError, SimConfig, SimulationError
+from .model import _STRATEGIES, ConfigError, SimConfig, SimulationError
 from .scenarios import SCENARIOS, _comma_list, load_config
 
 _DEFAULT_Q_LIST = "0.05,0.075,0.1,0.125,0.15"
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", type=float, default=None, help="coordination weight (hca only)")
     p_run.add_argument(
         "--strategy",
-        choices=("hca", "backpressure", "fixed_time"),
+        choices=_STRATEGIES,
         default=None,
         help="signal control strategy (default: hca)",
     )

@@ -9,8 +9,9 @@ Step order, fixed by contract:
    step, a fixed-time plan never does, and its steps skip level 2;
 3. every intersection selects its next phase from the fresh backlogs and the
    previous step's neighbor states;
-4. the chosen phases fix the per-lane signal indications of the next move,
-   looked up in a table when the phase array changed since the last lookup
+4. the chosen phases fix the per-lane signal indications of the next move.
+   The next step looks them up in a table, range-checked, before its
+   arrivals, and only when the phase array changed since the last lookup
    (on a fixed-time plan's hold steps it does not).
 
 Stop delay then accumulates: one unit per vehicle standing still at the end
@@ -26,7 +27,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .lanes import apply_signal_indications, compute_backlog, compute_occupancy, signal_bits
+from .lanes import apply_signal_indications, compute_backlog, compute_occupancy
 from .model import (
     ConfigError,
     Level1Arrays,
@@ -79,7 +80,10 @@ class Simulation:
 
     To set the phases between steps, assign a new :attr:`node_states`: the
     step reuses its signal bits while the ``pi`` array is the same object,
-    so a write into that array goes unseen.
+    so a write into that array goes unseen.  The next step checks the new
+    phases before it changes anything: a ``pi`` whose length is not the
+    node count, or a phase a node does not have, raises :class:`ValueError`
+    and leaves the state, the counters and the random streams as they were.
     """
 
     def __init__(
@@ -137,10 +141,10 @@ class Simulation:
 
     def step(self) -> None:
         cfg = self.config
-        placed_from = self.injector.inject(self.state, self.rngs)
         pi = self.node_states.pi
         if pi is not self._lit_pi:
-            self._lit_pi, self._bits = pi, signal_bits(pi, self.topology.tables)
+            self._lit_pi, self._bits = pi, apply_signal_indications(pi, self.topology)
+        placed_from = self.injector.inject(self.state, self.rngs)
         self.removed_total += advance_all(
             self.state, self.topology, self._bits, cfg.v_max, cfg.p, self.rngs
         )

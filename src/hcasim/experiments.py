@@ -122,12 +122,6 @@ def welch_one_sided(
     return t, float(student_t.sf(t, df))
 
 
-def _check_counts(runs: int, jobs: int) -> None:
-    for name, count in (("runs", runs), ("jobs", jobs)):
-        if count < 1:
-            raise ValueError(f"{name}={count}: must be >= 1")
-
-
 @dataclass(frozen=True)
 class _Plan:
     """An experiment's batches, planned when it starts: ``cells`` gives each
@@ -224,7 +218,8 @@ def run_many(
     planned and submitted for this cell when it started.  Records come
     back in seed order and equal those of single runs.
     """
-    _check_counts(runs, jobs)
+    check_integer("runs", runs, 1)
+    check_integer("jobs", jobs, 1)
     seed0 = config.seed if base_seed is None else base_seed
     check_integer("base_seed", seed0, 0)
     plan = _experiment_plan.get()
@@ -265,10 +260,11 @@ def _run_cells(
     the first cell's :func:`run_many` collects its own; rows and progress
     reports follow in cell order.  A failed cell raises
     :class:`SweepError` carrying the rows finished before it, and the
-    batches not yet started are cancelled; a bad run or job count raises
-    :class:`ValueError` before the first cell.
+    batches not yet started are cancelled; a run or job count that is not an
+    integer >= 1 raises :class:`ConfigError` before the first cell.
     """
-    _check_counts(runs, jobs)
+    check_integer("runs", runs, 1)
+    check_integer("jobs", jobs, 1)
     rows: list[SweepResult] = []
     with _planned([(cfg, cfg.seed) for _, cfg in cells], runs, jobs) as plan:
         token = _experiment_plan.set(plan)

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Level1Arrays, NetworkTopology, TopologyTables
+from .model import Level1Arrays, NetworkTopology
 
 
 def compute_occupancy(state: Level1Arrays) -> np.ndarray:
@@ -37,11 +37,16 @@ def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -
 
     One lookup in the ``[lane, phase]`` green table of
     :attr:`NetworkTopology.tables`; a lane that leaves the network has no
-    signal and reads green under every phase.  A phase a node does not have
-    raises :class:`ValueError` naming the node.
+    signal and reads green under every phase.  A phase list whose length is
+    not the node count, or a phase a node does not have, raises
+    :class:`ValueError`, the latter naming the node.
     """
     tables = topology.tables
     pi = np.asarray(phases, dtype=np.intp)
+    if pi.shape != tables.phase_count.shape:
+        raise ValueError(
+            f"active phases: {pi.size} given for {tables.phase_count.size} intersections"
+        )
     # a negative phase reads as a huge unsigned one
     bad = pi.view(np.uintp) >= tables.phase_count
     if np.count_nonzero(bad):
@@ -50,12 +55,6 @@ def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -
             f"intersection {node}: phase {pi[node]} out of range "
             f"(it has {tables.phase_count[node]})"
         )
-    return signal_bits(pi, tables)
-
-
-def signal_bits(pi: np.ndarray, tables: TopologyTables) -> np.ndarray:
-    """:func:`apply_signal_indications` without its range check, for the
-    phases a selector chose: the selectors choose only phases a node has."""
     # clipped, an exit lane's node -1 reads node 0's phase: its whole row is
     # green; without intersections every lane is an exit lane
     active = pi.take(tables.signal_node, mode="clip") if pi.size else 0

@@ -322,7 +322,7 @@ class Level3State:
             yield IntersectionState(pi, tau)
 
 
-def _check_probability(name: str, value) -> None:
+def check_probability(name: str, value) -> None:
     """Raise :class:`ConfigError` naming ``name`` unless ``value`` is a
     number in [0, 1]."""
     try:
@@ -374,8 +374,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_integer("v_max", self.v_max, 1)
-        _check_probability("p", self.p)
-        _check_probability("q", self.q)
+        check_probability("p", self.p)
+        check_probability("q", self.q)
         try:
             ok = math.isfinite(self.alpha) and self.alpha >= 0.0
         except TypeError:
@@ -487,10 +487,20 @@ def validate_topology(topology: NetworkTopology) -> list[str]:
     def lane_ok(i: int) -> bool:
         return 0 <= i < n_lanes
 
+    def integer(value) -> bool:  # numpy integers count, as in check_integer
+        try:
+            operator.index(value)
+        except TypeError:
+            return False
+        return True
+
     # the lanes some phase gives green; the node loop below checks that a
     # phase's lanes end at its own node
     served = {li for node in topology.intersections for phase in node.phases for li in phase}
     for li, lane in enumerate(topology.lanes):
+        if not integer(lane.length):
+            report.append(f"lane {li}: length {lane.length!r} is not an integer")
+            continue
         if lane.length < 1:
             report.append(f"lane {li}: length {lane.length} < 1")
             continue
@@ -566,7 +576,11 @@ def validate_topology(topology: NetworkTopology) -> list[str]:
     for ei, (lane_id, cell) in enumerate(topology.entry_points):
         if not lane_ok(lane_id):
             report.append(f"entry {ei}: lane {lane_id} does not exist")
-        elif not 0 <= cell < topology.lanes[lane_id].length:
+        elif not integer(cell):
+            report.append(f"entry {ei}: cell {cell!r} is not an integer")
+        elif integer(topology.lanes[lane_id].length) and not (
+            0 <= cell < topology.lanes[lane_id].length
+        ):
             report.append(f"entry {ei}: cell {cell} outside lane {lane_id}")
 
     return report

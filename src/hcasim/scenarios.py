@@ -29,6 +29,8 @@ from .model import (
     LaneDescriptor,
     NetworkTopology,
     SimConfig,
+    check_integer,
+    check_probability,
 )
 
 DEFAULT_SIDE_INTENSITY = 0.02
@@ -44,8 +46,7 @@ def derive_compatibility(topology: NetworkTopology, v_max: int) -> NetworkTopolo
     the local phase serves.  A lane or node id that names nothing is
     skipped, so that :func:`validate_topology` on the result reports it.
     """
-    if v_max < 1:
-        raise ConfigError(f"v_max={v_max}: must be >= 1")
+    check_integer("v_max", v_max, 1)
     n_lanes, n_nodes = len(topology.lanes), len(topology.intersections)
     nodes = []
     for node in topology.intersections:
@@ -96,8 +97,7 @@ def _lay_roads(
     takes, in road order, one inbound lane and one single-lane phase per
     road that crosses it; neighbor links and compatibility are derived.
     """
-    if block_cells < 2:
-        raise ConfigError(f"block_cells={block_cells}: must be >= 2")
+    check_integer("block_cells", block_cells, 2)
     lanes: list[LaneDescriptor] = []
     entries = []
     inbound: list[list[int]] = [[] for _ in range(n_nodes)]
@@ -130,8 +130,7 @@ def build_grid(
     the derived neighbor travel times.  Entry points come in road order,
     eastbound rows first.
     """
-    if roads_per_direction < 1:
-        raise ConfigError(f"roads_per_direction={roads_per_direction}: must be >= 1")
+    check_integer("roads_per_direction", roads_per_direction, 1)
     r = roads_per_direction
     rows = [[row * r + col for col in range(r)] for row in range(r)]
     cols = [[row * r + col for row in range(r)] for col in range(r)]
@@ -150,10 +149,8 @@ def build_arterial(
     tuple: the arterial entry is ``None`` (filled from the configured main
     demand), each side entry carries ``side_q``.
     """
-    if intersections < 1:
-        raise ConfigError(f"intersections={intersections}: must be >= 1")
-    if not 0.0 <= side_q <= 1.0:
-        raise ConfigError(f"side_q={side_q}: probability out of range [0, 1]")
+    check_integer("intersections", intersections, 1)
+    check_probability("side_q", side_q)
     n = intersections
     roads = [list(range(n))] + [[i] for i in range(n)]
     return _lay_roads(roads, n, block_cells, v_max), (None,) + (side_q,) * n
@@ -238,6 +235,7 @@ def load_config(path: str) -> SimConfig:
     section with ``kind = grid`` or ``kind = arterial``.  ``#`` starts a
     comment; unknown sections and unknown or repeated keys are rejected with
     their line number.  A key left out takes the scenario factory's default.
+    Every :class:`ConfigError` raised here starts with ``path``.
     """
     top: dict[str, object] = {}
     scen: dict[str, object] = {}
@@ -282,4 +280,7 @@ def load_config(path: str) -> SimConfig:
     if "block" in scen:
         scen["block_cells"] = scen.pop("block")
 
-    return SCENARIOS[kind](**top, **scen)
+    try:
+        return SCENARIOS[kind](**top, **scen)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

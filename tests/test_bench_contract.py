@@ -6,10 +6,11 @@ adaptive selector and counts phase switches by zipping ``select``'s
 workload rebinds ``run_many`` with a wrapper of a fixed signature; the
 benchmark's modules import a few package names directly.  A rename, a signature change or a selector that rewrote its input would
 break ``perfbench/run.py --trace 1`` without any test of the package
-noticing.  The compare workload also expects one ``run_many`` call per
-cell, returning that cell's records in seed order.  The tracer module is
-only loaded here, never instrumented, because instrumenting rebinds hcasim
-globally.
+noticing.  The tracer's ``lanes.signal_s`` spans the signal lookup, which
+the step must reach through the engine's ``apply_signal_indications``.  The
+compare workload also expects one ``run_many`` call per cell, returning
+that cell's records in seed order.  The tracer module is only loaded here,
+never instrumented, because instrumenting rebinds hcasim globally.
 
 The package's exports are checked here too, against the README's list.
 """
@@ -95,6 +96,34 @@ def test_advance_all_gets_the_state_first(monkeypatch):
             # everything on the road after this step's arrivals moves once
             assert seen[-1] == on_road + sim.injector.next_id.sum() - injected
         assert len(seen) == 5 and seen[-1] > 0
+
+
+@pytest.mark.parametrize("strategy", ["hca", "backpressure", "fixed_time"])
+def test_signal_lookup_runs_once_per_adaptive_step_and_per_switch(monkeypatch, strategy):
+    # the tracer's lanes.signal_s spans apply_signal_indications, counted
+    # here through the name the engine calls it by
+    calls = []
+    lookup = hcasim.engine.apply_signal_indications
+
+    def counted(*args):
+        calls.append(args[0])
+        return lookup(*args)
+
+    monkeypatch.setattr(hcasim.engine, "apply_signal_indications", counted)
+    split = (20, 20) if strategy == "fixed_time" else None
+    cfg = grid_config(q=0.2, horizon=60, seed=1, strategy=strategy, fixed_time_split=split)
+    for form, sim, _ in alone_and_in_batch(cfg):
+        last, lookups = None, 0
+        for t in range(cfg.horizon):
+            pi = sim.node_states.pi
+            calls.clear()
+            sim.step()
+            # a fixed-time plan's phases change only on the steps after a switch
+            fresh = strategy != "fixed_time" or t == 0 or not np.array_equal(pi, last)
+            assert [p is pi for p in calls] == [True] * fresh, f"{form}: step {t}"
+            last, lookups = pi, lookups + fresh
+        # the first step, then each 20-step green's switch
+        assert lookups == (3 if strategy == "fixed_time" else cfg.horizon), form
 
 
 def test_run_many_positional_signature():

@@ -12,6 +12,7 @@ import hcasim.experiments
 from hcasim import SimulationError, arterial_config, run
 from hcasim.cli import build_parser, main
 from hcasim.engine import run_seeds
+from hcasim.model import _STRATEGIES
 from conftest import _in_process_pools
 
 
@@ -534,3 +535,6 @@ def test_help_states_defaults(capsys):
     main(["compare", "--help"])
     text = capsys.readouterr().out
     assert "0.05,0.075,0.1,0.125,0.15" in text
+    # the strategies a config accepts, from the one list that names them
+    main(["run", "--help"])
+    assert "{" + ",".join(_STRATEGIES) + "}" in capsys.readouterr().out

@@ -30,7 +30,7 @@ from hcasim import (
     validate_topology,
 )
 from hcasim.engine import count_stopped, run_seeds, trace_columns
-from hcasim.lanes import apply_signal_indications, compute_backlog, compute_occupancy, signal_bits
+from hcasim.lanes import apply_signal_indications, compute_backlog, compute_occupancy
 from hcasim.model import IntersectionState, Level1Arrays, Level3State, replicate
 from hcasim.vehicles import advance_all
 from netgen import random_config, random_topology
@@ -147,9 +147,8 @@ def _any_controller(draw):
 @settings(max_examples=40, deadline=None)
 @given(cfg=_any_controller())
 def test_selectors_choose_phases_their_nodes_have(cfg):
-    # the engine looks its signal bits up without apply_signal_indications'
-    # range check, which holds only because no selector leaves the range;
-    # it looks them up again only when the phase array changed, so every
+    # no selector leaves the range the signal lookup checks; the engine
+    # looks the bits up again only when the phase array changed, so every
     # move must still get the bits of the phases in force, also of phases
     # a caller put in between steps
     moves = []
@@ -170,8 +169,48 @@ def test_selectors_choose_phases_their_nodes_have(cfg):
                 assert moves.pop() == in_force.tolist(), f"{form}: step {t}"
                 pi = sim.node_states.pi
                 assert all(0 <= k < n for k, n in zip(pi.tolist(), counts)), form
-                unchecked = signal_bits(pi, sim.topology.tables)
-                assert unchecked.tolist() == apply_signal_indications(pi, sim.topology).tolist()
+
+
+def _snapshot(sim: Simulation) -> tuple:
+    streams = [
+        getattr(rng, name).bit_generator.state
+        for rng in sim.rngs
+        for name in ("injection", "dawdle", "turn")
+    ]
+    injector = sim.injector
+    data = (sim.state.data, injector.next_id, injector.pending, sim.total_stop_delay)
+    return sim.t, [a.tolist() for a in data], streams
+
+
+@pytest.mark.parametrize("strategy", ["hca", "backpressure", "fixed_time"])
+def test_a_refused_phase_leaves_the_run_as_it_was(strategy):
+    # phases set between steps are checked before the step changes anything,
+    # so the run goes on as if they had never been set
+    split = (20, 20) if strategy == "fixed_time" else None
+    cfg = grid_config(q=0.3, horizon=12, seed=1, strategy=strategy, fixed_time_split=split)
+    for form, sim, _ in alone_and_in_batch(cfg):
+        untouched = Simulation(cfg, seeds=sim.seeds)
+        for _ in range(5):
+            sim.step()
+            untouched.step()
+        good = sim.node_states
+        n = good.pi.size
+        bad_phase = good.pi.copy()
+        bad_phase[n - 1] = 2  # every grid node has two phases
+        for pi, message in (
+            (bad_phase, f"intersection {n - 1}: phase 2 out of range (it has 2)"),
+            (good.pi[:1], f"active phases: 1 given for {n} intersections"),
+        ):
+            before = _snapshot(sim)
+            sim.node_states = Level3State(pi, np.zeros_like(pi))
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sim.step()
+            assert _snapshot(sim) == before, form
+        sim.node_states = good
+        for _ in range(5, cfg.horizon):
+            sim.step()
+            untouched.step()
+        assert sim.records() == untouched.records(), form
 
 
 def test_construction_leaves_topology_tables_uncompiled():

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 import hcasim
 from hcasim import (
     ComparisonRow,
+    ConfigError,
     SimConfig,
     SweepError,
     SweepResult,
@@ -208,6 +209,16 @@ def test_run_many_rejects_a_bad_base_seed_before_any_run(monkeypatch, jobs):
 def test_run_many_rejects_nonpositive_jobs(jobs):
     with pytest.raises(ValueError, match=f"jobs={jobs}: must be >= 1"):
         run_many(_tiny(), 2, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "runs, jobs, message",
+    [(2.0, 1, "runs: 2.0 is not an integer"), (2, "2", "jobs: '2' is not an integer")],
+    ids=["runs", "jobs"],
+)
+def test_run_many_rejects_a_count_that_is_not_an_integer(runs, jobs, message):
+    with pytest.raises(ConfigError, match=message):
+        run_many(_tiny(), runs, jobs=jobs)
 
 
 EXPERIMENTS = {

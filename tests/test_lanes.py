@@ -147,3 +147,12 @@ def test_signal_bits_reject_a_phase_the_node_lacks(pi, node):
     # would read other cells of the flat green table
     with pytest.raises(ValueError, match=f"intersection {node}: phase {pi[node]} out of range"):
         apply_signal_indications(pi, mixed_phase_topology())
+
+
+@pytest.mark.parametrize(
+    "pi, size", [([0], 1), ([0, 0, 0, 0], 4), ([[0, 0, 0]], 3)], ids=["one", "long", "2-d"]
+)
+def test_signal_bits_reject_a_phase_list_of_the_wrong_length(pi, size):
+    # one phase, or a row of them, would broadcast against the node table
+    with pytest.raises(ValueError, match=f"active phases: {size} given for 3 intersections"):
+        apply_signal_indications(pi, mixed_phase_topology())

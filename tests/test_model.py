@@ -160,6 +160,7 @@ def test_validator_lane_length(cross):
 def test_validator_accepts_a_lane_given_a_new_length(cross):
     # the stop line follows the lane end; it is not stored separately
     assert validate_topology(_mutate(cross, length=20)) == []
+    assert validate_topology(_mutate(cross, length=np.int64(20))) == []  # numpy integers count
 
 
 def test_validator_dangling_intersection_refs(cross):
@@ -269,8 +270,16 @@ def test_validator_reports_a_lane_no_phase_serves(cross, inbound):
             ),
             "intersection 0: compatibility neighbor phase 5 invalid for intersection 0",
         ),
+        (lambda t: _mutate(t, length=40.5), "lane 0: length 40.5 is not an integer"),
+        (
+            lambda t: NetworkTopology(t.lanes, t.intersections, ((0, 1.5), (1, 0))),
+            "entry 0: cell 1.5 is not an integer",
+        ),
     ],
-    ids=["exit-target", "exit-probability", "empty-inbound", "inbound-lane", "neighbor-phase"],
+    ids=[
+        "exit-target", "exit-probability", "empty-inbound", "inbound-lane", "neighbor-phase",
+        "lane-length", "entry-cell",
+    ],
 )
 def test_validator_report_stops_a_simulation(cross, change, message):
     bad = change(cross)

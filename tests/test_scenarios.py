@@ -83,6 +83,9 @@ def test_grid_single_road_degenerate():
         (dict(roads_per_direction=0), "must be >= 1"),
         (dict(block_cells=1), "must be >= 2"),
         (dict(v_max=0), "v_max=0: must be >= 1"),
+        (dict(block_cells=40.5), "block_cells: 40.5 is not an integer"),
+        (dict(v_max="2"), "v_max: '2' is not an integer"),
+        (dict(roads_per_direction=2.5), "roads_per_direction: 2.5 is not an integer"),
     ],
 )
 def test_grid_rejects_bad_sizes(kwargs, match):
@@ -196,6 +199,8 @@ def test_arterial_side_roads_cross_and_leave():
         (dict(block_cells=1), "must be >= 2"),
         (dict(side_q=1.5), "probability out of range"),
         (dict(v_max=0), "v_max=0: must be >= 1"),
+        (dict(intersections=2.0), "intersections: 2.0 is not an integer"),
+        (dict(side_q="0.1"), "side_q: '0.1' is not a number"),
     ],
 )
 def test_arterial_rejects_bad_inputs(kwargs, match):
@@ -441,11 +446,17 @@ def test_load_config_fixed_time_split(tmp_path):
         ("p = 1.5\n[scenario]\nkind = grid\n", "probability out of range"),
         ("v_max = 0\n[scenario]\nkind = grid\n", "v_max=0: must be >= 1"),
         ("q = 0.1\nq = 0.3\n[scenario]\nkind = grid\n", r":2: duplicate key 'q'"),
+        ("p = 2\n[scenario]\nkind = grid\n", r"\.cfg: p=2\.0: probability out of range \[0, 1\]$"),
+        ("v_max = 0\n[scenario]\nkind = arterial\n", r"\.cfg: v_max=0: must be >= 1$"),
+        ("[scenario]\nkind = grid\nblock = 1\n", r"\.cfg: block_cells=1: must be >= 2$"),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, text, match):
-    with pytest.raises(ConfigError, match=match):
-        load_config(_write(tmp_path, text))
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=match) as err:
+        load_config(path)
+    # every error names the file first, as the CLI prints it
+    assert str(err.value).startswith(f"{path}:")
 
 
 @pytest.mark.parametrize("kind, factory", [("grid", grid_config), ("arterial", arterial_config)])

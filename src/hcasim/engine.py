@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Sequence
 
 import numpy as np
@@ -41,8 +41,29 @@ from .model import (
     replicate,
     validate_topology,
 )
-from .signals import controller_strategy
+from .signals import AdaptiveSelector, controller_strategy
 from .vehicles import InjectionProcess, RngStream, advance_all, count_stopped
+
+
+# The fields in which the copies of one Simulation may differ.
+_PER_COPY = frozenset({"q", "entry_intensities", "alpha", "strategy", "seed"})
+
+
+def _check_shared(configs: Sequence[SimConfig]) -> None:
+    """Raise :class:`ConfigError` naming the first field, other than those
+    of ``_PER_COPY``, in which ``configs`` differ, and on a fixed-time
+    config among adaptive ones."""
+    first = configs[0]
+    for other in {id(c): c for c in configs[1:] if c is not first}.values():
+        for field in fields(SimConfig):
+            name = field.name
+            if name not in _PER_COPY and getattr(other, name) != getattr(first, name):
+                raise ConfigError(f"configs differ in {name}: one simulation's copies share it")
+        if (other.strategy == "fixed_time") != (first.strategy == "fixed_time"):
+            raise ConfigError(
+                f"configs differ in strategy: {first.strategy} and {other.strategy} "
+                "cannot share a simulation"
+            )
 
 
 def trace_columns(topology: NetworkTopology) -> tuple[str, ...]:
@@ -76,7 +97,13 @@ class Simulation:
     With ``seeds`` it is the runs of ``config`` at each seed instead: they
     step together on a network of disjoint copies of the topology, one copy
     and one :class:`RngStream` per seed, and :meth:`records` equal those of
-    the runs alone.
+    the runs alone.  ``config`` may also be a sequence of one config per
+    copy, each run at its own ``seed`` unless ``seeds`` names them.  Such
+    configs may differ in their arrival intensities (``q`` and
+    ``entry_intensities``), in ``alpha`` and in ``strategy`` between
+    ``backpressure`` and ``hca``; a difference in any other field raises
+    :class:`ConfigError` naming it.  :attr:`config` is then the first copy's
+    config, and :attr:`configs` holds each copy's.
 
     To set the phases between steps, assign a new :attr:`node_states`: the
     step reuses its signal bits while the ``pi`` array is the same object,
@@ -88,28 +115,43 @@ class Simulation:
 
     def __init__(
         self,
-        config: SimConfig,
+        config: SimConfig | Sequence[SimConfig],
         check_invariants: bool = False,
         *,
         seeds: Sequence[int] | None = None,
     ):
-        seeds = (config.seed,) if seeds is None else tuple(seeds)
+        configs = (config,) if isinstance(config, SimConfig) else tuple(config)
+        seeds = tuple(c.seed for c in configs) if seeds is None else tuple(seeds)
         if not seeds:
             raise ValueError("seeds=(): must name at least one seed")
         for i, seed in enumerate(seeds):
             check_integer(f"seeds[{i}]", seed, 0)
+        if isinstance(config, SimConfig):
+            configs *= len(seeds)
+        elif len(configs) != len(seeds):
+            raise ValueError(f"{len(seeds)} seeds for {len(configs)} configs")
+        config = configs[0]
+        _check_shared(configs)
         report = validate_topology(config.topology)
         if report:
             raise ConfigError("invalid topology: " + "; ".join(report))
         replicas = len(seeds)
         self.config = config
+        self.configs = configs
         self.seeds = seeds
         self.topology = replicate(config.topology, replicas)
         self.check_invariants = check_invariants
         self.state = Level1Arrays(self.topology, replicas)
         self.rngs = [RngStream(seed) for seed in seeds]
-        self.injector = InjectionProcess(self.topology, config.resolved_intensities(), replicas)
-        self.selector = controller_strategy(config)
+        intensities = [x for c in configs for x in c.resolved_intensities()]
+        self.injector = InjectionProcess(self.topology, intensities, replicas)
+        weights = [c.effective_alpha() for c in configs]
+        if config.strategy != "fixed_time" and len(set(weights)) > 1:
+            # one weight per node, copy by copy
+            nodes = config.topology.n_intersections
+            self.selector = AdaptiveSelector(np.repeat(weights, nodes), config.min_green)
+        else:
+            self.selector = controller_strategy(config)
         n_nodes = self.topology.n_intersections
         self.node_states = Level3State(
             np.zeros(n_nodes, dtype=np.intp), np.zeros(n_nodes, dtype=np.intp)
@@ -182,12 +224,14 @@ class Simulation:
             raise SimulationError(f"step {self.t}: " + "; ".join(report))
 
     def records(self) -> list[MetricsRecord]:
-        """End-of-run summary of each replica, in seed order."""
-        digest = config_digest(self.config)
+        """End-of-run summary of each replica, in seed order, each with the
+        digest of its own config."""
+        digests = {key: config_digest(c) for key, c in {id(c): c for c in self.configs}.items()}
         on_road = self.state.per_replica(self.state.data[0])
         return [
-            MetricsRecord(delay, injected, removed, left, self.t, seed, digest)
-            for seed, injected, delay, removed, left in zip(
+            MetricsRecord(delay, injected, removed, left, self.t, seed, digests[id(config)])
+            for config, seed, injected, delay, removed, left in zip(
+                self.configs,
                 self.seeds,
                 self.injector.next_id.tolist(),
                 self.total_stop_delay.tolist(),
@@ -229,10 +273,11 @@ def run(
     return record
 
 
-def run_seeds(config: SimConfig, seeds: Sequence[int]) -> list[MetricsRecord]:
-    """``run(replace(config, seed=s))`` for each of ``seeds``, stepped as one
-    :class:`Simulation`."""
-    sim = Simulation(config, seeds=seeds)
-    for _ in range(config.horizon):
+def run_batch(runs: Sequence[tuple[SimConfig, int]]) -> list[MetricsRecord]:
+    """``run(replace(config, seed=seed))`` for each ``(config, seed)`` of
+    ``runs``, in order, stepped as one :class:`Simulation`, whose rules say
+    which configs may share one."""
+    sim = Simulation([config for config, _ in runs], seeds=[seed for _, seed in runs])
+    for _ in range(sim.config.horizon):
         sim.step()
     return sim.records()

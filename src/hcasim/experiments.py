@@ -19,10 +19,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterator, Sequence, get_type_hints
 
 from . import __version__
-from .engine import MetricsRecord, run_seeds
+from .engine import MetricsRecord, run_batch
 from .model import ConfigError, SimConfig, check_integer, config_digest
 
 
@@ -60,7 +61,11 @@ class ComparisonRow:
 
 
 class SweepError(RuntimeError):
-    """A run inside a sweep failed; carries the rows completed before it."""
+    """A run inside a sweep failed; carries the rows completed before it.
+
+    A batch of runs fails as a whole, and so does every cell with runs in
+    it: the rows kept are those of the cells that ended in earlier batches.
+    """
 
     def __init__(self, message: str, partial: list[SweepResult]):
         super().__init__(message)
@@ -136,13 +141,18 @@ class _Plan:
 # The plan of the sweep or compare in progress, which each cell's run_many takes from.
 _experiment_plan: ContextVar[_Plan | None] = ContextVar("experiment_plan", default=None)
 
+# The most runs one batch holds.  Past a few dozen copies a copy-step costs
+# little less (on the 4x4 grid, 22 us at 25 copies and 19 us at 100), while
+# a batch's memory and the runs one failure takes down grow with its size.
+_MAX_BATCH_RUNS = 50
+
 
 def _batches_finished() -> tuple[int, int]:
     """``(finished, planned)`` batches of the sweep or compare in progress,
     for an ETA in the progress report of one of its cells.
 
     Only a pool's batches count as finished: without one, each batch runs
-    when its cell is taken, so the cells reported count them.
+    when its first cell is taken, so the cells reported count them.
     """
     plan = _experiment_plan.get()
     # done(), not a count kept by done-callbacks: a result wakes its reader
@@ -163,39 +173,37 @@ def _cancel_later(futures: Sequence[Future], k: int, batch: Future) -> None:
 def _planned(cells: Sequence[tuple[SimConfig, int]], runs: int, jobs: int) -> Iterator[_Plan]:
     """The plan of each ``(config, first seed)`` cell's ``runs`` seeds.
 
-    The batches are as few and as large as keep all ``jobs`` workers busy:
-    a whole cell when there are at least as many cells as workers, and
-    otherwise ``ceil(jobs / cells)`` contiguous seed ranges per cell, at
-    most one per run.  Each runs as one simulation of that many network
-    copies (:func:`run_seeds`).  With two or more batches and ``jobs``, every
+    The experiment's runs, cell after cell and seed after seed, are cut
+    into contiguous batches of near-equal size: ``min(jobs, runs in all)``
+    of them, so that every worker gets one, or more when that many would
+    hold over ``_MAX_BATCH_RUNS`` runs each.  A batch may hold several
+    cells, and parts of cells, whose configs differ in ``q``, ``alpha`` or
+    strategy; it runs as one simulation of that many network copies
+    (:func:`run_batch`).  With two or more batches and ``jobs``, every
     batch is submitted up front to one pool of ``min(jobs, batches)``
     workers.  A failed batch cancels the batches after it that no worker
     has taken, and on exit every batch not yet started is cancelled.
-    Otherwise each batch runs here when its cell is taken.
+    Otherwise each batch runs here when its first cell is taken.  A cell
+    takes its records from every batch that holds some of its runs, so a
+    failed batch fails each cell it holds.
     """
-    parts = 1 if len(cells) >= jobs else min(runs, -(-jobs // len(cells)))
-    batches = [
-        (config, range(seed0 + runs * k // parts, seed0 + runs * (k + 1) // parts))
-        for config, seed0 in cells
-        for k in range(parts)
-    ]
-    workers = min(jobs, len(batches))
+    flat = [(config, seed0 + i) for config, seed0 in cells for i in range(runs)]
+    parts = max(min(jobs, len(flat)), -(-len(flat) // _MAX_BATCH_RUNS))
+    batches = [flat[len(flat) * k // parts : len(flat) * (k + 1) // parts] for k in range(parts)]
+    workers = min(jobs, parts)
     # the pool forks all of its workers at the first submit
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     futures: list[Future] = []
     try:
         if pool is None:
-            done = (run_seeds(config, seeds) for config, seeds in batches)
+            done = (run_batch(batch) for batch in batches)
         else:
-            futures = [pool.submit(run_seeds, config, seeds) for config, seeds in batches]
+            futures = [pool.submit(run_batch, batch) for batch in batches]
             for k, future in enumerate(futures):
                 future.add_done_callback(partial(_cancel_later, futures, k))
             done = (future.result() for future in futures)
-        yield _Plan(
-            ((config, [rec for _ in range(parts) for rec in next(done)]) for config, _ in cells),
-            len(batches),
-            futures,
-        )
+        records = (rec for batch in done for rec in batch)
+        yield _Plan(((config, list(islice(records, runs))) for config, _ in cells), parts, futures)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -210,13 +218,13 @@ def run_many(
 ) -> list[MetricsRecord]:
     """Run ``runs`` replications seeded ``base_seed + i`` for i in 0..runs-1.
 
-    Called alone, it splits the seeds into ``min(jobs, runs)`` contiguous
-    batches, each run as one simulation of that many network copies
-    (:func:`run_seeds`), on a pool of as many workers, started and joined
-    here, when there are two or more.  Inside :func:`sweep_alpha` or
-    :func:`compare_strategies` it collects the batches the experiment
-    planned and submitted for this cell when it started.  Records come
-    back in seed order and equal those of single runs.
+    Called alone, it cuts the seeds into contiguous batches as
+    :func:`_planned` does, each run as one simulation of that many network
+    copies (:func:`run_batch`), on a pool started and joined here when
+    there are two or more batches and jobs.  Inside :func:`sweep_alpha` or
+    :func:`compare_strategies` it collects this cell's records from the
+    batches the experiment planned and submitted when it started.  Records
+    come back in seed order and equal those of single runs.
     """
     check_integer("runs", runs, 1)
     check_integer("jobs", jobs, 1)
@@ -255,13 +263,15 @@ def _run_cells(
     """One stop-delay row per ``(variant, config)`` cell, in order.
 
     Each cell runs ``runs`` seeds from its config's ``seed``, which all
-    cells share, so rows are paired across variants.  Every cell's batches
-    are planned and submitted to one pool (see :func:`_planned`) before
-    the first cell's :func:`run_many` collects its own; rows and progress
-    reports follow in cell order.  A failed cell raises
-    :class:`SweepError` carrying the rows finished before it, and the
-    batches not yet started are cancelled; a run or job count that is not an
-    integer >= 1 raises :class:`ConfigError` before the first cell.
+    cells share, so rows are paired across variants.  The experiment's runs
+    are cut into batches that cells share, planned and submitted to one
+    pool (see :func:`_planned`) before the first cell's :func:`run_many`
+    collects its records; rows and progress reports follow in cell order.
+    A failed batch fails each cell it holds: the first of them raises
+    :class:`SweepError` carrying the rows finished before it, those of
+    earlier batches, and the batches not yet started are cancelled.  A run
+    or job count that is not an integer >= 1 raises :class:`ConfigError`
+    before the first cell.
     """
     check_integer("runs", runs, 1)
     check_integer("jobs", jobs, 1)

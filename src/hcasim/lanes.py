@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -38,15 +39,25 @@ def apply_signal_indications(phases: Sequence[int], topology: NetworkTopology) -
     One lookup in the ``[lane, phase]`` green table of
     :attr:`NetworkTopology.tables`; a lane that leaves the network has no
     signal and reads green under every phase.  A phase list whose length is
-    not the node count, or a phase a node does not have, raises
-    :class:`ValueError`, the latter naming the node.
+    not the node count, a phase that is not an integer or a phase a node
+    does not have raises :class:`ValueError`, the latter two naming the node.
     """
     tables = topology.tables
-    pi = np.asarray(phases, dtype=np.intp)
+    pi = np.asarray(phases)
     if pi.shape != tables.phase_count.shape:
         raise ValueError(
             f"active phases: {pi.size} given for {tables.phase_count.size} intersections"
         )
+    if pi.dtype.kind not in "iu":
+        # the first phase check_integer would refuse: 1.0 is not an integer either
+        given = phases.tolist() if isinstance(phases, np.ndarray) else phases
+        for node, phase in enumerate(given):
+            try:
+                operator.index(phase)
+            except TypeError:
+                message = f"intersection {node}: phase {phase!r} is not an integer"
+                raise ValueError(message) from None
+    pi = pi.astype(np.intp, copy=False)
     # a negative phase reads as a huge unsigned one
     bad = pi.view(np.uintp) >= tables.phase_count
     if np.count_nonzero(bad):

@@ -297,12 +297,15 @@ class Level3State:
 
     ``pi[i]`` is node ``i``'s active phase and ``tau[i]`` the steps since it
     came up.  The selectors read and write the arrays; iteration gives
-    :class:`IntersectionState` views built on access.
+    :class:`IntersectionState` views built on access.  A ``tau`` whose shape
+    is not ``pi``'s raises :class:`ValueError`.
     """
 
     __slots__ = ("pi", "tau")
 
     def __init__(self, pi: np.ndarray, tau: np.ndarray):
+        if pi.shape != tau.shape:
+            raise ValueError(f"elapsed times: shape {tau.shape} for phases of shape {pi.shape}")
         self.pi = pi
         self.tau = tau
 

@@ -86,6 +86,10 @@ def derive_compatibility(topology: NetworkTopology, v_max: int) -> NetworkTopolo
     return NetworkTopology(topology.lanes, tuple(nodes), topology.entry_points)
 
 
+# The fewest cells a block of a built-in network may have.
+_MIN_BLOCK_CELLS = 2
+
+
 def _lay_roads(
     roads: list[list[int]], n_nodes: int, block_cells: int, v_max: int
 ) -> NetworkTopology:
@@ -97,7 +101,7 @@ def _lay_roads(
     takes, in road order, one inbound lane and one single-lane phase per
     road that crosses it; neighbor links and compatibility are derived.
     """
-    check_integer("block_cells", block_cells, 2)
+    check_integer("block_cells", block_cells, _MIN_BLOCK_CELLS)
     lanes: list[LaneDescriptor] = []
     entries = []
     inbound: list[list[int]] = [[] for _ in range(n_nodes)]
@@ -277,10 +281,11 @@ def load_config(path: str) -> SimConfig:
         if key not in _KIND_KEYS[kind]:
             owner = next(k for k, keys in _KIND_KEYS.items() if key in keys)
             raise ConfigError(f"{path}: {key!r} is {owner}-only, not a {kind} key")
-    if "block" in scen:
-        scen["block_cells"] = scen.pop("block")
-
     try:
+        if "block" in scen:
+            # checked under the file's name for it; the factories call it block_cells
+            check_integer("block", scen["block"], _MIN_BLOCK_CELLS)
+            scen["block_cells"] = scen.pop("block")
         return SCENARIOS[kind](**top, **scen)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -71,15 +71,23 @@ class AdaptiveSelector:
     tie; otherwise the lowest phase index among the maxima wins.  ``tau``
     is the elapsed time since activation: 0 on the step a phase comes up,
     incremented on every held step.  While ``tau`` is below ``min_green``
-    the incumbent is held whatever the scores.  With ``alpha`` at zero the
+    the incumbent is held whatever the scores.  ``alpha`` is one weight for
+    every node, or an array of one weight per node, as on copies of a
+    network run at different weights.  With every weight at zero the
     coordination term is not evaluated at all.
     """
 
     reads_backlog = True  # the engine computes level 2 for it every step
 
-    def __init__(self, alpha: float, min_green: int = 0):
+    def __init__(self, alpha: float | np.ndarray, min_green: int = 0):
         self.alpha = alpha
         self.min_green = min_green
+        # per node, a column that scales each node's row of scores; None
+        # when every weight is 0, which skips coordination
+        if isinstance(alpha, np.ndarray):
+            self._weight = alpha[:, None] if alpha.any() else None
+        else:
+            self._weight = alpha or None
         self._padded = _UNSIZED  # the backlog, then 0.0 for padding lane -1
 
     def select(
@@ -98,8 +106,8 @@ class AdaptiveSelector:
         scores = tables.phase_base.copy()
         for by_lane in padded.take(tables.phase_lanes):
             scores += by_lane
-        if self.alpha:
-            scores += self.alpha * _coordination(tables, states)
+        if self._weight is not None:
+            scores += self._weight * _coordination(tables, states)
         pi, tau = states.pi, states.tau
         top = scores.argmax(axis=1)  # the lowest phase index among the maxima
         flat = scores.ravel()

@@ -204,23 +204,26 @@ class InjectionProcess:
     its entry cell occupied waits in a per-entry backlog and is placed as
     soon as the cell frees up, one placement per entry per step.  Vehicles
     are placed at speed 0 and take part in the same step's movement.
+
+    ``intensities`` holds the arrival probability of every entry point of
+    ``topology``: on ``replicas`` copies of a network, each copy's entries
+    in turn, so that copies may differ in their demand.
     """
 
     def __init__(
         self, topology: NetworkTopology, intensities: Sequence[float], replicas: int = 1
     ):
-        if len(intensities) * replicas != len(topology.entry_points):
+        if len(intensities) != len(topology.entry_points):
             raise ValueError(
-                f"{len(intensities)} intensities per copy x {replicas} "
-                f"for {len(topology.entry_points)} entry points"
+                f"{len(intensities)} intensities for {len(topology.entry_points)} entry points"
             )
         self.topology = topology
-        # one copy's intensities, tiled: replica r's entries are the r-th block
-        self.intensities = np.tile(np.array(intensities, dtype=float), replicas)
+        # replica r's entries are the r-th block
+        self.intensities = np.array(intensities, dtype=float)
         self.pending = np.zeros(len(topology.entry_points), dtype=np.intp)
-        self.entries_per_replica = len(intensities)
+        self.entries_per_replica = len(intensities) // replicas
         # where each copy's entries start, then their count
-        self._cuts = range(0, len(self.intensities) + 1, max(len(intensities), 1))
+        self._cuts = range(0, len(intensities) + 1, max(self.entries_per_replica, 1))
         self.next_id = np.zeros(replicas, dtype=np.intp)
 
     def inject(self, state: Level1Arrays, rngs: Sequence[RngStream]) -> np.ndarray | None:

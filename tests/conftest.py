@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import CancelledError
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -158,12 +159,31 @@ def lanes_of(state: Level1Arrays, replica: int = 0) -> list[list[tuple[int, int,
     return [sorted(lane) for lane in lanes]
 
 
+def mixed_with(config: SimConfig) -> list[SimConfig]:
+    """``config`` as the second of three configs that may share a batch:
+    the other two run at other demand levels and weights, and an adaptive
+    ``config`` meets the other adaptive strategy and ``hca``."""
+    adaptive = config.strategy != "fixed_time"
+    other = {"hca": "backpressure", "backpressure": "hca"}.get(config.strategy, config.strategy)
+    return [
+        replace(config, q=config.q / 2, alpha=config.alpha + 0.5, strategy=other),
+        config,
+        replace(
+            config, q=min(1.0, 2 * config.q), alpha=2 * config.alpha + 1,
+            strategy="hca" if adaptive else config.strategy,
+        ),
+    ]
+
+
 def alone_and_in_batch(config: SimConfig, check_invariants: bool = False):
     """Yield ``(form, sim, replica)``: ``config`` run alone, then as replica 1
-    of a batch of three seeds; ``sim.step()`` advances it."""
+    of a batch of three seeds, then as replica 1 of a batch of the three
+    configs of :func:`mixed_with`; ``sim.step()`` advances it."""
     yield "alone", Simulation(config, check_invariants), 0
     seeds = (config.seed + 1, config.seed, config.seed + 2)
     yield "replica 1 of 3", Simulation(config, check_invariants, seeds=seeds), 1
+    mixed = Simulation(mixed_with(config), check_invariants, seeds=seeds)
+    yield "replica 1 of 3 configs", mixed, 1
 
 
 def replica_view(sim: Simulation, replica: int):
@@ -186,7 +206,8 @@ def _in_process_pools(monkeypatch, log: list | None = None, clock: list | None =
     ``clock[0]``.  A batch calls its done-callbacks when it has run or is
     cancelled, and can be cancelled until it runs.  ``shutdown`` runs what
     is still queued unless told to cancel it.  Each submit and each result
-    taken is appended to ``log`` as ``(event, config, seeds)``.
+    taken is appended to ``log`` as ``(event, runs)``, ``runs`` being the
+    batch's ``(config, seed)`` pairs.
     """
     import hcasim.experiments as mod
 

@@ -11,7 +11,7 @@ import pytest
 import hcasim.experiments
 from hcasim import SimulationError, arterial_config, run
 from hcasim.cli import build_parser, main
-from hcasim.engine import run_seeds
+from hcasim.engine import run_batch
 from hcasim.model import _STRATEGIES
 from conftest import _in_process_pools
 
@@ -104,7 +104,7 @@ def no_runs(monkeypatch, tmp_path):
     pools = _in_process_pools(monkeypatch)
     monkeypatch.setattr(hcasim.cli, "run", refuse)
     monkeypatch.setattr(hcasim.experiments, "run_many", refuse)
-    monkeypatch.setattr(hcasim.experiments, "run_seeds", refuse)
+    monkeypatch.setattr(hcasim.experiments, "run_batch", refuse)
     return pools
 
 
@@ -150,7 +150,7 @@ def test_jobs_above_the_core_count_is_capped_with_a_note(tmp_path, monkeypatch, 
 
     pools = _in_process_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # uncapped, 3 jobs would split the 2 cells into 4 batches on 3 workers
+    # uncapped, 3 jobs would cut the 2 cells' 4 runs into 3 batches on 3 workers
     argv = ["compare", "--q-list", "0.1", "--steps", "5", "--runs", "2", "--jobs", "3",
             "--out", str(tmp_path / "c.csv")]
     assert main(argv) == 0
@@ -405,18 +405,19 @@ def test_default_alpha_list_is_21_weights_from_0_to_2():
     assert alphas[0] == 0.0 and alphas[-1] == 2.0
 
 
-def _failing_at_cell(n):
-    """A stand-in for ``run_seeds`` whose ``n``-th call fails; at --jobs 1
-    each cell's seeds run as one call, in cell order."""
+def _failing_at_cell(monkeypatch, n):
+    """Make the ``n``-th batch fail, each batch holding one cell's 2 runs;
+    at --jobs 1 the batches run in cell order."""
     calls = []
 
-    def run_or_fail(config, seeds):
-        calls.append(config)
+    def run_or_fail(runs):
+        calls.append(runs)
         if len(calls) == n:
             raise SimulationError(f"cell {n} broke")
-        return run_seeds(config, seeds)
+        return run_batch(runs)
 
-    return run_or_fail
+    monkeypatch.setattr(hcasim.experiments, "_MAX_BATCH_RUNS", 2)
+    monkeypatch.setattr(hcasim.experiments, "run_batch", run_or_fail)
 
 
 _PARTIAL_RUNS = ["--runs", "2", "--steps", "20", "--jobs", "1", "--out", "x.csv"]
@@ -435,7 +436,7 @@ def test_failed_cell_writes_the_finished_rows_as_partial(
     argv, failing_cell, finished, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(hcasim.experiments, "run_seeds", _failing_at_cell(failing_cell))
+    _failing_at_cell(monkeypatch, failing_cell)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "sweep failed: " in err and f"cell {failing_cell} broke" in err
@@ -451,7 +452,7 @@ def test_failed_cell_writes_the_finished_rows_as_partial(
 )
 def test_failed_first_cell_writes_no_output(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(hcasim.experiments, "run_seeds", _failing_at_cell(1))
+    _failing_at_cell(monkeypatch, 1)
     assert main(argv + _PARTIAL_RUNS) == 3
     err = capsys.readouterr().err
     assert "sweep failed: " in err and "cell 1 broke" in err and "partial" not in err

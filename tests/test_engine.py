@@ -29,7 +29,7 @@ from hcasim import (
     run,
     validate_topology,
 )
-from hcasim.engine import count_stopped, run_seeds, trace_columns
+from hcasim.engine import count_stopped, run_batch, trace_columns
 from hcasim.lanes import apply_signal_indications, compute_backlog, compute_occupancy
 from hcasim.model import IntersectionState, Level1Arrays, Level3State, replicate
 from hcasim.vehicles import advance_all
@@ -42,6 +42,7 @@ from conftest import (
     lanes_of,
     merge_topology,
     mixed_phase_topology,
+    mixed_with,
     replica_view,
     ring_simulation,
     ring_topology,
@@ -118,9 +119,75 @@ def test_empty_seed_list_is_rejected_before_any_state(cross):
     Simulation(SimConfig(cross), seeds=[np.int64(0), np.uint8(5)])
 
 
-def test_run_seeds_rejects_an_empty_seed_list(cross):
+def test_run_batch_rejects_an_empty_run_list(cross):
     with pytest.raises(ValueError, match="seeds"):
-        run_seeds(SimConfig(cross), [])
+        run_batch([])
+
+
+def test_a_config_per_copy_needs_a_seed_per_copy(cross):
+    configs = [SimConfig(cross, seed=3), SimConfig(cross, q=0.2, seed=4)]
+    assert Simulation(configs).seeds == (3, 4)
+    with pytest.raises(ValueError, match="3 seeds for 2 configs"):
+        Simulation(configs, seeds=[1, 2, 3])
+
+
+# every copy of a batch that mixes demand, weight and adaptive strategy ends
+# with the record of its own run alone, digest included
+MIXED = {
+    "grid": lambda: grid_config(horizon=150, seed=3),
+    "arterial-side-demand": lambda: arterial_config(side_q=0.05, horizon=150, seed=5),
+    "entry-intensities": lambda: SimConfig(
+        cross_topology(), entry_intensities=(0.7, None), horizon=150, seed=8
+    ),
+    "min-green-stop-window": lambda: grid_config(
+        horizon=150, seed=9, min_green=3, stop_window=5
+    ),
+}
+
+
+@pytest.mark.parametrize("make", MIXED.values(), ids=MIXED)
+def test_a_mixed_batch_gives_each_copy_the_record_of_its_run_alone(make):
+    base = make()
+    runs = [
+        (replace(base, q=q, strategy=strategy, alpha=alpha), base.seed + k)
+        for k, (q, strategy, alpha) in enumerate([
+            (0.05, "backpressure", 1.0), (0.15, "hca", 1.0), (0.05, "hca", 0.0),
+            (0.3, "hca", 2.5), (0.15, "backpressure", 0.0), (0.05, "hca", 1.0),
+        ])
+    ]
+    alone = [run(replace(config, seed=seed)) for config, seed in runs]
+    assert run_batch(runs) == alone
+    assert len({rec.config_digest for rec in alone}) == 5
+
+
+def test_a_fixed_time_batch_mixes_demand_but_no_adaptive_copy():
+    base = arterial_config(strategy="fixed_time", fixed_time_split=(7, 3), horizon=120, seed=2)
+    runs = [(base, 2), (replace(base, q=0.3, alpha=0.0), 3)]
+    assert run_batch(runs) == [run(replace(config, seed=seed)) for config, seed in runs]
+    for strategy in ("hca", "backpressure"):
+        with pytest.raises(ConfigError, match=f"differ in strategy: fixed_time and {strategy}"):
+            run_batch(runs + [(replace(base, strategy=strategy), 4)])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("topology", grid_config(roads_per_direction=2).topology),
+        ("v_max", 3),
+        ("p", 0.3),
+        ("horizon", 40),
+        ("min_green", 2),
+        ("stop_window", 5),
+        ("fixed_time_split", (4, 4)),
+    ],
+)
+def test_copies_that_differ_in_a_shared_field_are_refused(field, value):
+    base = grid_config(horizon=30)
+    runs = [(base, 1), (replace(base, q=0.2), 2), (replace(base, **{field: value}), 3)]
+    with pytest.raises(ConfigError, match=f"configs differ in {field}:"):
+        run_batch(runs)
+    with pytest.raises(ConfigError, match=f"configs differ in {field}:"):
+        Simulation([config for config, _ in runs])
 
 
 @st.composite
@@ -189,7 +256,7 @@ def test_a_refused_phase_leaves_the_run_as_it_was(strategy):
     split = (20, 20) if strategy == "fixed_time" else None
     cfg = grid_config(q=0.3, horizon=12, seed=1, strategy=strategy, fixed_time_split=split)
     for form, sim, _ in alone_and_in_batch(cfg):
-        untouched = Simulation(cfg, seeds=sim.seeds)
+        untouched = Simulation(sim.configs, seeds=sim.seeds)
         for _ in range(5):
             sim.step()
             untouched.step()
@@ -211,6 +278,26 @@ def test_a_refused_phase_leaves_the_run_as_it_was(strategy):
             sim.step()
             untouched.step()
         assert sim.records() == untouched.records(), form
+
+
+@pytest.mark.parametrize("strategy", ["hca", "backpressure", "fixed_time"])
+def test_elapsed_times_of_another_shape_than_the_phases_are_refused(strategy):
+    # a one-element tau used to broadcast under backpressure and fixed_time
+    # and to raise a bare IndexError under hca
+    split = (3, 2) if strategy == "fixed_time" else None
+    cfg = grid_config(
+        roads_per_direction=2, q=0.3, horizon=12, seed=5, strategy=strategy,
+        fixed_time_split=split,
+    )
+    sim, untouched = Simulation(cfg), Simulation(cfg)
+    for t in range(cfg.horizon):
+        if t == 5:
+            pi = sim.node_states.pi
+            with pytest.raises(ValueError, match=re.escape("shape (1,) for phases of shape (4,)")):
+                sim.node_states = Level3State(pi, np.zeros(1, dtype=np.intp))
+        sim.step()
+        untouched.step()
+    assert sim.records() == untouched.records()
 
 
 def test_construction_leaves_topology_tables_uncompiled():
@@ -390,11 +477,16 @@ def _ref_kwargs(cfg: SimConfig) -> dict:
 
 def _lockstep(cfg: SimConfig, steps: int, seeds: range | None = None) -> None:
     """Step ``cfg`` and the reference together and compare every lane, node,
-    signal and the delay after each step: ``cfg`` alone and as replica 1 of
-    three, or with ``seeds``, one batch of them with a reference per seed."""
+    signal and the delay after each step: ``cfg`` alone, as replica 1 of
+    three seeds and as replica 1 of three configs, each copy of the last
+    against a reference of its own; or with ``seeds``, one batch of them with
+    a reference per seed."""
     nodes = cfg.topology.n_intersections
     if seeds is None:
         forms = [(form, sim, {r: cfg}) for form, sim, r in alone_and_in_batch(cfg, True)]
+        form, mixed, _ = forms.pop()
+        copies = zip(mixed_with(cfg), mixed.seeds)
+        forms.append((form, mixed, {r: replace(c, seed=s) for r, (c, s) in enumerate(copies)}))
     else:
         batch = Simulation(cfg, True, seeds=seeds)
         forms = [("batch", batch, {r: replace(cfg, seed=s) for r, s in enumerate(seeds)})]
@@ -608,9 +700,10 @@ def test_pinned_records_of_large_networks(make, expect):
 
 
 def _check_records(cfg: SimConfig, expect: MetricsRecord) -> None:
+    # alone, and as replica 1 of a batch of other seeds, demand and weights
     assert run(cfg) == expect
     seeds = (cfg.seed + 1, cfg.seed, cfg.seed + 2)
-    assert run_seeds(cfg, seeds)[1] == expect
+    assert run_batch(list(zip(mixed_with(cfg), seeds)))[1] == expect
 
 
 def _trace_bytes(cfg: SimConfig, tmp_path) -> bytes:

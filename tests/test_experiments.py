@@ -34,7 +34,7 @@ from hcasim import (
     sweep_alpha,
     welch_one_sided,
 )
-from hcasim.engine import run_seeds
+from hcasim.engine import run_batch
 from hcasim.experiments import (
     write_compare_csv,
     write_meta,
@@ -198,7 +198,7 @@ def test_run_many_rejects_a_bad_base_seed_before_any_run(monkeypatch, jobs):
     def refuse(*args, **kwargs):
         raise AssertionError("a run or a pool started")
 
-    monkeypatch.setattr(mod, "run_seeds", refuse)
+    monkeypatch.setattr(mod, "run_batch", refuse)
     monkeypatch.setattr(mod, "ProcessPoolExecutor", refuse)
     for base_seed, message in ((-2, "base_seed=-2: must be >= 0"), (0.5, "base_seed: 0.5 is not")):
         with pytest.raises(ValueError, match=message):
@@ -274,16 +274,25 @@ def test_an_experiment_starts_one_pool_for_all_its_cells(monkeypatch, experiment
     assert sizes == [2, 2]
 
 
+def _one_cell_per_batch(monkeypatch, runs: int) -> None:
+    """Hold batches to ``runs`` runs, one cell's worth: each batch then
+    holds one cell, as a test that pins per-cell batches needs."""
+    import hcasim.experiments as mod
+
+    monkeypatch.setattr(mod, "_MAX_BATCH_RUNS", runs)
+
+
 @pytest.mark.parametrize("cells, jobs, runs, pools, ranges", [
-    # at least as many cells as workers: one batch per cell
-    (6, 2, 4, [2], [(100, 104)]),
-    (2, 2, 4, [2], [(100, 104)]),
-    (2, 2, 1, [2], [(100, 101)]),
-    # fewer cells: ceil(jobs / cells) seed ranges per cell, at most one per run
-    (1, 2, 4, [2], [(100, 102), (102, 104)]),
-    (3, 8, 4, [8], [(100, 101), (101, 102), (102, 104)]),
-    (2, 3, 5, [3], [(100, 102), (102, 105)]),
-    (1, 64, 2, [2], [(100, 101), (101, 102)]),
+    # the experiment's runs, cell after cell, cut into min(jobs, runs in all)
+    # near-equal batches; ranges index the runs of all cells in that order
+    (6, 2, 4, [2], [(0, 12), (12, 24)]),
+    (2, 2, 4, [2], [(0, 4), (4, 8)]),
+    (2, 2, 1, [2], [(0, 1), (1, 2)]),
+    (1, 2, 4, [2], [(0, 2), (2, 4)]),
+    # batches may hold parts of cells
+    (3, 8, 4, [8], [(0, 1), (1, 3), (3, 4), (4, 6), (6, 7), (7, 9), (9, 10), (10, 12)]),
+    (2, 3, 5, [3], [(0, 3), (3, 6), (6, 10)]),
+    (1, 64, 2, [2], [(0, 1), (1, 2)]),
     # one batch or one job: no pool
     (1, 2, 1, [], []),
     (4, 1, 4, [], []),
@@ -296,9 +305,31 @@ def test_an_experiment_submits_its_planned_batches(monkeypatch, cells, jobs, run
     sizes = _in_process_pools(monkeypatch, log)
     assert sweep_alpha(_tiny(), alphas, runs, "x", jobs) == serial
     assert sizes == pools
-    submitted = [(cfg.alpha, seeds.start, seeds.stop) for event, cfg, seeds in log
+    submitted = [[(cfg.alpha, seed) for cfg, seed in batch] for event, batch in log
                  if event == "submit"]
-    assert submitted == [(a, lo, hi) for a in alphas for lo, hi in ranges]
+    every_run = [(a, seed) for a in alphas for seed in range(100, 100 + runs)]
+    assert submitted == [every_run[lo:hi] for lo, hi in ranges]
+
+
+@pytest.mark.parametrize("runs, jobs, cap, sizes", [
+    (120, 1, 50, [40, 40, 40]),
+    (101, 2, 50, [33, 34, 34]),
+    (100, 2, 50, [50, 50]),
+    (9, 2, 4, [3, 3, 3]),
+    (8, 4, 100, [2, 2, 2, 2]),
+])
+def test_no_batch_holds_more_runs_than_the_cap(monkeypatch, runs, jobs, cap, sizes):
+    import hcasim.experiments as mod
+
+    monkeypatch.setattr(mod, "_MAX_BATCH_RUNS", cap)
+    batches = []
+    monkeypatch.setattr(mod, "run_batch", lambda batch: batches.append(batch) or [
+        hcasim.engine.MetricsRecord(0, 0, 0, 0, 1, seed, "") for _, seed in batch
+    ])
+    _in_process_pools(monkeypatch)
+    records = run_many(_tiny(), runs, jobs=jobs)
+    assert [len(batch) for batch in batches] == sizes
+    assert [r.seed for r in records] == list(range(100, 100 + runs))
 
 
 def test_every_cell_is_submitted_before_the_first_is_collected(monkeypatch):
@@ -306,8 +337,10 @@ def test_every_cell_is_submitted_before_the_first_is_collected(monkeypatch):
     _in_process_pools(monkeypatch, log)
     rows = compare_strategies(_tiny(), [0.1, 0.3], 3, "x", jobs=2)
     cells = [(0.1, "backpressure"), (0.1, "hca"), (0.3, "backpressure"), (0.3, "hca")]
-    assert [(event, cfg.q, cfg.strategy) for event, cfg, _ in log] == (
-        [("submit", *cell) for cell in cells] + [("result", *cell) for cell in cells]
+    # two batches of six runs, each holding two whole cells
+    halves = [[cell for cell in pair for _ in range(3)] for pair in (cells[:2], cells[2:])]
+    assert [(event, [(cfg.q, cfg.strategy) for cfg, _ in batch]) for event, batch in log] == (
+        [("submit", half) for half in halves] + [("result", half) for half in halves]
     )
     assert [(r.q, r.variant) for r in rows] == cells
 
@@ -327,6 +360,7 @@ def test_the_eta_counts_the_batches_finished_side_by_side(monkeypatch, capsys):
     clock = [0.0]
     monkeypatch.setattr(hcasim.cli, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
     _in_process_pools(monkeypatch, clock=clock)
+    _one_cell_per_batch(monkeypatch, 2)
     # two workers finish six whole-cell batches two at a time, one per tick
     rows = compare_strategies(_tiny(), [0.1, 0.2, 0.3], 2, "x", jobs=2,
                               progress=hcasim.cli._progress(6))
@@ -408,19 +442,21 @@ def test_sweep_alpha_is_pure():
 ALPHAS_RUN: list[float] = []
 
 
-def _fails_at_alpha_one(config, seeds):
+def _fails_at_alpha_one(runs):
     # module level, so that a pool worker can unpickle it
-    ALPHAS_RUN.append(config.alpha)
-    if config.alpha == 1.0:
+    alphas = list(dict.fromkeys(config.alpha for config, _ in runs))
+    ALPHAS_RUN.extend(alphas)
+    if 1.0 in alphas:
         raise RuntimeError("disk full")
-    return run_seeds(config, seeds)
+    return run_batch(runs)
 
 
 def test_sweep_error_carries_partial_rows(monkeypatch):
     import hcasim.experiments as mod
 
     # fails inside the second cell's batches, in the pool's workers at jobs=2
-    monkeypatch.setattr(mod, "run_seeds", _fails_at_alpha_one)
+    monkeypatch.setattr(mod, "run_batch", _fails_at_alpha_one)
+    _one_cell_per_batch(monkeypatch, 2)
     for jobs in (1, 2):
         with pytest.raises(SweepError, match="alpha=1") as exc_info:
             sweep_alpha(_tiny(), [0.0, 1.0], runs=2, scenario="x", jobs=jobs)
@@ -428,11 +464,31 @@ def test_sweep_error_carries_partial_rows(monkeypatch):
         assert exc_info.value.partial[0].variant == "alpha=0.000"
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failed_batch_fails_every_cell_it_holds(monkeypatch, jobs):
+    import hcasim.experiments as mod
+
+    # batches of two cells each: alphas 0 and 0.5, 1 and 1.5, 2 and 2.5
+    monkeypatch.setattr(mod, "run_batch", _fails_at_alpha_one)
+    monkeypatch.setattr(sys.modules[__name__], "ALPHAS_RUN", [])
+    _one_cell_per_batch(monkeypatch, 4)
+    if jobs > 1:
+        _in_process_pools(monkeypatch)
+    alphas = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+    serial = sweep_alpha(_tiny(), alphas[:2], runs=2, scenario="x")
+    with pytest.raises(SweepError, match="alpha=1.000: disk full") as exc_info:
+        sweep_alpha(_tiny(), alphas, runs=2, scenario="x", jobs=jobs)
+    # the earlier batch's rows are kept; alpha 1.5 fails with alpha 1
+    assert exc_info.value.partial == serial
+    assert 2.0 not in ALPHAS_RUN
+
+
 def test_a_failed_cell_cancels_the_batches_not_started(monkeypatch):
     import hcasim.experiments as mod
 
-    monkeypatch.setattr(mod, "run_seeds", _fails_at_alpha_one)
+    monkeypatch.setattr(mod, "run_batch", _fails_at_alpha_one)
     monkeypatch.setattr(sys.modules[__name__], "ALPHAS_RUN", [])
+    _one_cell_per_batch(monkeypatch, 2)
     sizes = _in_process_pools(monkeypatch)
     with pytest.raises(SweepError, match="alpha=1") as exc_info:
         sweep_alpha(_tiny(), [0.0, 1.0, 2.0, 3.0], runs=2, scenario="x", jobs=2)
@@ -441,15 +497,16 @@ def test_a_failed_cell_cancels_the_batches_not_started(monkeypatch):
     assert 3.0 not in ALPHAS_RUN
 
 
-def _logs_alpha_and_fails_at_one(config, seeds):
+def _logs_alpha_and_fails_at_one(runs):
     # module level, so that a pool worker can unpickle it; the log file is
     # named in the environment, which every worker inherits
+    (alpha,) = {config.alpha for config, _ in runs}
     with open(os.environ["HCASIM_TEST_ALPHA_LOG"], "a") as fh:
-        fh.write(f"{config.alpha}\n")
-    if config.alpha == 1.0:
+        fh.write(f"{alpha}\n")
+    if alpha == 1.0:
         raise RuntimeError("disk full")
-    time.sleep(1.0 if config.alpha == 0.0 else 0.05)
-    return run_seeds(config, seeds)
+    time.sleep(1.0 if alpha == 0.0 else 0.05)
+    return run_batch(runs)
 
 
 def test_a_failed_cell_stops_the_later_batches_of_a_real_pool(monkeypatch, tmp_path):
@@ -457,7 +514,9 @@ def test_a_failed_cell_stops_the_later_batches_of_a_real_pool(monkeypatch, tmp_p
 
     log = tmp_path / "alphas"
     monkeypatch.setenv("HCASIM_TEST_ALPHA_LOG", str(log))
-    monkeypatch.setattr(mod, "run_seeds", _logs_alpha_and_fails_at_one)
+    monkeypatch.setattr(mod, "run_batch", _logs_alpha_and_fails_at_one)
+    # the plan is made here, before the pool forks: one cell per batch
+    _one_cell_per_batch(monkeypatch, 2)
     jobs = 2
     # Alpha 1 fails at once while alpha 0 sleeps, so the cells are collected
     # long after the failure.  By then a pool without cancellation has run
@@ -476,8 +535,9 @@ def test_a_failed_cell_stops_the_later_batches_of_a_real_pool(monkeypatch, tmp_p
 def test_an_interrupt_cancels_the_batches_not_started(monkeypatch):
     import hcasim.experiments as mod
 
-    monkeypatch.setattr(mod, "run_seeds", _fails_at_alpha_one)
+    monkeypatch.setattr(mod, "run_batch", _fails_at_alpha_one)
     monkeypatch.setattr(sys.modules[__name__], "ALPHAS_RUN", [])
+    _one_cell_per_batch(monkeypatch, 2)
     _in_process_pools(monkeypatch)
 
     def interrupt(row):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -156,3 +159,26 @@ def test_signal_bits_reject_a_phase_list_of_the_wrong_length(pi, size):
     # one phase, or a row of them, would broadcast against the node table
     with pytest.raises(ValueError, match=f"active phases: {size} given for 3 intersections"):
         apply_signal_indications(pi, mixed_phase_topology())
+
+
+@pytest.mark.parametrize(
+    "pi, message",
+    [
+        (np.array([0.7, 1.2, 0.0]), "intersection 0: phase 0.7 is not an integer"),
+        ([0, 1, 1.5], "intersection 2: phase 1.5 is not an integer"),
+        ([0, 1.0, 2], "intersection 1: phase 1.0 is not an integer"),
+        ([0, "1", 2], "intersection 1: phase '1' is not an integer"),
+    ],
+    ids=["float-array", "float-in-list", "integral-float", "string"],
+)
+def test_signal_bits_reject_a_phase_that_is_not_an_integer(pi, message):
+    # a float phase used to be truncated to the phase below it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        apply_signal_indications(pi, mixed_phase_topology())
+
+
+def test_signal_bits_take_any_integer_type():
+    topo = mixed_phase_topology()
+    want = apply_signal_indications([2, 1, 0], topo).tolist()
+    for dtype in (np.int8, np.uint16, np.int32, np.int64):
+        assert apply_signal_indications(np.array([2, 1, 0], dtype=dtype), topo).tolist() == want

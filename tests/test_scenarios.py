@@ -448,7 +448,7 @@ def test_load_config_fixed_time_split(tmp_path):
         ("q = 0.1\nq = 0.3\n[scenario]\nkind = grid\n", r":2: duplicate key 'q'"),
         ("p = 2\n[scenario]\nkind = grid\n", r"\.cfg: p=2\.0: probability out of range \[0, 1\]$"),
         ("v_max = 0\n[scenario]\nkind = arterial\n", r"\.cfg: v_max=0: must be >= 1$"),
-        ("[scenario]\nkind = grid\nblock = 1\n", r"\.cfg: block_cells=1: must be >= 2$"),
+        ("[scenario]\nkind = grid\nblock = 1\n", r"\.cfg: block=1: must be >= 2$"),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, text, match):

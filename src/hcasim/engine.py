@@ -41,7 +41,7 @@ from .model import (
     replicate,
     validate_topology,
 )
-from .signals import AdaptiveSelector, controller_strategy
+from .signals import AdaptiveSelector, FixedTimeSelector
 from .vehicles import InjectionProcess, RngStream, advance_all, count_stopped
 
 
@@ -107,10 +107,12 @@ class Simulation:
 
     To set the phases between steps, assign a new :attr:`node_states`: the
     step reuses its signal bits while the ``pi`` array is the same object,
-    so a write into that array goes unseen.  The next step checks the new
-    phases before it changes anything: a ``pi`` whose length is not the
-    node count, or a phase a node does not have, raises :class:`ValueError`
-    and leaves the state, the counters and the random streams as they were.
+    and checks elapsed times only in states it did not select itself, so a
+    write into either array goes unseen.  The next step checks the new
+    states before it changes anything: a ``pi`` whose length is not the
+    node count, a phase a node does not have, or an elapsed time that is
+    negative or not an integer raises :class:`ValueError` and leaves the
+    state, the counters and the random streams as they were.
     """
 
     def __init__(
@@ -121,6 +123,8 @@ class Simulation:
         seeds: Sequence[int] | None = None,
     ):
         configs = (config,) if isinstance(config, SimConfig) else tuple(config)
+        if not configs:
+            raise ValueError("config: empty sequence: must name at least one config")
         seeds = tuple(c.seed for c in configs) if seeds is None else tuple(seeds)
         if not seeds:
             raise ValueError("seeds=(): must name at least one seed")
@@ -145,17 +149,20 @@ class Simulation:
         self.rngs = [RngStream(seed) for seed in seeds]
         intensities = [x for c in configs for x in c.resolved_intensities()]
         self.injector = InjectionProcess(self.topology, intensities, replicas)
-        weights = [c.effective_alpha() for c in configs]
-        if config.strategy != "fixed_time" and len(set(weights)) > 1:
-            # one weight per node, copy by copy
+        if config.strategy == "fixed_time":
+            self.selector = FixedTimeSelector(config.fixed_time_split)
+        else:
+            # one weight per node, copy by copy; a backpressure copy's is 0
+            weights = [c.effective_alpha() for c in configs]
             nodes = config.topology.n_intersections
             self.selector = AdaptiveSelector(np.repeat(weights, nodes), config.min_green)
-        else:
-            self.selector = controller_strategy(config)
         n_nodes = self.topology.n_intersections
         self.node_states = Level3State(
             np.zeros(n_nodes, dtype=np.intp), np.zeros(n_nodes, dtype=np.intp)
         )
+        # the states the last step selected: only others, set by a caller,
+        # have their elapsed times checked
+        self._selected = self.node_states
         # the phases the signal bits were last looked up for, and the bits;
         # the first step looks them up and compiles the topology's tables
         self._lit_pi: np.ndarray | None = None
@@ -183,7 +190,11 @@ class Simulation:
 
     def step(self) -> None:
         cfg = self.config
-        pi = self.node_states.pi
+        states = self.node_states
+        if states is not self._selected:
+            for node, elapsed in enumerate(states.tau.tolist()):
+                check_integer(f"intersection {node}: elapsed time", elapsed, 0)
+        pi = states.pi
         if pi is not self._lit_pi:
             self._lit_pi, self._bits = pi, apply_signal_indications(pi, self.topology)
         placed_from = self.injector.inject(self.state, self.rngs)
@@ -197,7 +208,7 @@ class Simulation:
             if selector.reads_backlog
             else None
         )
-        self.node_states = selector.select(self.topology, backlog, self.node_states)
+        self.node_states = self._selected = selector.select(self.topology, backlog, states)
 
         self.last_stopped = count_stopped(self.state, cfg.stop_window, placed_from)
         self.total_stop_delay += self.last_stopped

@@ -297,14 +297,22 @@ class Level3State:
 
     ``pi[i]`` is node ``i``'s active phase and ``tau[i]`` the steps since it
     came up.  The selectors read and write the arrays; iteration gives
-    :class:`IntersectionState` views built on access.  A ``tau`` whose shape
-    is not ``pi``'s raises :class:`ValueError`.
+    :class:`IntersectionState` views built on access.  An argument that is
+    not a numpy array raises :class:`TypeError`, a ``tau`` whose shape is
+    not ``pi``'s :class:`ValueError`.
     """
 
     __slots__ = ("pi", "tau")
 
     def __init__(self, pi: np.ndarray, tau: np.ndarray):
-        if pi.shape != tau.shape:
+        try:
+            same_shape = pi.shape == tau.shape
+        except AttributeError:
+            raise TypeError(
+                f"phases and elapsed times: {type(pi).__name__} and {type(tau).__name__} "
+                "given, numpy arrays needed"
+            ) from None
+        if not same_shape:
             raise ValueError(f"elapsed times: shape {tau.shape} for phases of shape {pi.shape}")
         self.pi = pi
         self.tau = tau

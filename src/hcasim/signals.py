@@ -20,7 +20,6 @@ from .model import (
     IntersectionState,
     Level3State,
     NetworkTopology,
-    SimConfig,
     SimulationError,
     TopologyTables,
 )
@@ -71,10 +70,10 @@ class AdaptiveSelector:
     tie; otherwise the lowest phase index among the maxima wins.  ``tau``
     is the elapsed time since activation: 0 on the step a phase comes up,
     incremented on every held step.  While ``tau`` is below ``min_green``
-    the incumbent is held whatever the scores.  ``alpha`` is one weight for
-    every node, or an array of one weight per node, as on copies of a
-    network run at different weights.  With every weight at zero the
-    coordination term is not evaluated at all.
+    the incumbent is held whatever the scores.  ``alpha`` is an array of
+    one weight per node, as the engine builds it copy by copy, or one
+    weight for every node.  With every weight at zero the coordination
+    term is not evaluated at all.
     """
 
     reads_backlog = True  # the engine computes level 2 for it every step
@@ -82,12 +81,10 @@ class AdaptiveSelector:
     def __init__(self, alpha: float | np.ndarray, min_green: int = 0):
         self.alpha = alpha
         self.min_green = min_green
-        # per node, a column that scales each node's row of scores; None
-        # when every weight is 0, which skips coordination
-        if isinstance(alpha, np.ndarray):
-            self._weight = alpha[:, None] if alpha.any() else None
-        else:
-            self._weight = alpha or None
+        # a column that scales each node's row of scores, or every row when
+        # it holds one weight; None when every weight is 0 (no coordination)
+        weight = np.reshape(alpha, (-1, 1))
+        self._weight = weight if weight.any() else None
         self._padded = _UNSIZED  # the backlog, then 0.0 for padding lane -1
 
     def select(
@@ -171,15 +168,3 @@ class FixedTimeSelector:
             return Level3State(pi, held)
         return Level3State(np.where(hold, pi, following.take(at)), np.where(hold, held, 0))
 
-
-def controller_strategy(config: SimConfig):
-    """Build the phase selector a config asks for.
-
-    ``backpressure`` is the adaptive selector with the coordination weight
-    pinned to zero; ``hca`` uses the configured weight; ``fixed_time`` cycles
-    through the configured split.
-    """
-    if config.strategy == "fixed_time":
-        assert config.fixed_time_split is not None  # enforced by SimConfig
-        return FixedTimeSelector(config.fixed_time_split)
-    return AdaptiveSelector(config.effective_alpha(), config.min_green)

@@ -1,12 +1,13 @@
 """What the benchmark in ``perfbench/`` relies on from hcasim.
 
-The span tracer wraps hcasim functions by name, reads ``alpha`` off the
-adaptive selector and counts phase switches by zipping ``select``'s
-``states`` argument against its result after the call; the compare
-workload rebinds ``run_many`` with a wrapper of a fixed signature; the
-benchmark's modules import a few package names directly.  A rename, a signature change or a selector that rewrote its input would
-break ``perfbench/run.py --trace 1`` without any test of the package
-noticing.  The tracer's ``lanes.signal_s`` spans the signal lookup, which
+The span tracer wraps hcasim functions by name, reads ``alpha``, one
+weight per node, off the adaptive selector and counts phase switches by
+zipping ``select``'s ``states`` argument against its result after the
+call; the compare workload rebinds ``run_many`` with a wrapper of a
+fixed signature; the benchmark's modules import a few package names
+directly.  A rename, a signature change or a selector that rewrote its
+input would break ``perfbench/run.py --trace 1`` without any test of the
+package noticing.  The tracer's ``lanes.signal_s`` spans the signal lookup, which
 the step must reach through the engine's ``apply_signal_indications``.  The
 compare workload also expects one ``run_many`` call per cell, returning
 that cell's records in seed order.  The tracer module is only loaded here,
@@ -33,7 +34,7 @@ import hcasim.experiments
 import hcasim.signals
 from hcasim import Simulation, compare_strategies, grid_config, run_many, sweep_alpha
 from hcasim.model import IntersectionState, Level3State
-from hcasim.signals import AdaptiveSelector, FixedTimeSelector, controller_strategy
+from hcasim.signals import AdaptiveSelector, FixedTimeSelector
 
 from conftest import alone_and_in_batch
 
@@ -212,7 +213,8 @@ def test_select_returns_new_states_and_leaves_its_input(selector):
 
 def test_adaptive_selector_exposes_alpha():
     assert AdaptiveSelector(alpha=0.25).alpha == 0.25
-    assert controller_strategy(grid_config(alpha=1.5)).alpha == 1.5
+    sim = Simulation(grid_config(alpha=1.5))
+    assert sim.selector.alpha.tolist() == [1.5] * sim.topology.n_intersections
 
 
 def test_node_states_iterate_to_intersection_states():

@@ -120,8 +120,10 @@ def test_empty_seed_list_is_rejected_before_any_state(cross):
 
 
 def test_run_batch_rejects_an_empty_run_list(cross):
-    with pytest.raises(ValueError, match="seeds"):
-        run_batch([])
+    # the diagnostic names the empty config list, not seeds never passed
+    for empty in (lambda: run_batch([]), lambda: Simulation([])):
+        with pytest.raises(ValueError, match="^config: empty sequence: must name at least one"):
+            empty()
 
 
 def test_a_config_per_copy_needs_a_seed_per_copy(cross):
@@ -251,8 +253,8 @@ def _snapshot(sim: Simulation) -> tuple:
 
 @pytest.mark.parametrize("strategy", ["hca", "backpressure", "fixed_time"])
 def test_a_refused_phase_leaves_the_run_as_it_was(strategy):
-    # phases set between steps are checked before the step changes anything,
-    # so the run goes on as if they had never been set
+    # phases and elapsed times set between steps are checked before the step
+    # changes anything, so the run goes on as if they had never been set
     split = (20, 20) if strategy == "fixed_time" else None
     cfg = grid_config(q=0.3, horizon=12, seed=1, strategy=strategy, fixed_time_split=split)
     for form, sim, _ in alone_and_in_batch(cfg):
@@ -264,12 +266,17 @@ def test_a_refused_phase_leaves_the_run_as_it_was(strategy):
         n = good.pi.size
         bad_phase = good.pi.copy()
         bad_phase[n - 1] = 2  # every grid node has two phases
-        for pi, message in (
-            (bad_phase, f"intersection {n - 1}: phase 2 out of range (it has 2)"),
-            (good.pi[:1], f"active phases: 1 given for {n} intersections"),
+        negative = good.tau.copy()
+        negative[n - 2] = -3
+        zeros = np.zeros(n, dtype=np.intp)
+        for pi, tau, message in (
+            (bad_phase, zeros, f"intersection {n - 1}: phase 2 out of range (it has 2)"),
+            (good.pi[:1], zeros[:1], f"active phases: 1 given for {n} intersections"),
+            (good.pi, negative, f"intersection {n - 2}: elapsed time=-3: must be >= 0"),
+            (good.pi, np.zeros(n), "intersection 0: elapsed time: 0.0 is not an integer"),
         ):
             before = _snapshot(sim)
-            sim.node_states = Level3State(pi, np.zeros_like(pi))
+            sim.node_states = Level3State(pi, tau)
             with pytest.raises(ValueError, match=re.escape(message)):
                 sim.step()
             assert _snapshot(sim) == before, form
@@ -298,6 +305,14 @@ def test_elapsed_times_of_another_shape_than_the_phases_are_refused(strategy):
         sim.step()
         untouched.step()
     assert sim.records() == untouched.records()
+
+
+def test_states_that_are_not_arrays_are_refused():
+    # a list had no shape to compare and raised a bare AttributeError
+    with pytest.raises(TypeError, match="^phases and elapsed times: list and list given"):
+        Level3State([0, 1], [0, 0])
+    with pytest.raises(TypeError, match="^phases and elapsed times: ndarray and list given"):
+        Level3State(np.zeros(2, dtype=np.intp), [0, 0])
 
 
 def test_construction_leaves_topology_tables_uncompiled():

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import hcasim.signals
 from hcasim import (
     IntersectionDescriptor,
     LaneDescriptor,
     NetworkTopology,
     SimConfig,
+    Simulation,
     SimulationError,
     grid_config,
 )
@@ -21,7 +24,6 @@ from hcasim.model import IntersectionState, Level3State
 from hcasim.signals import (
     AdaptiveSelector,
     FixedTimeSelector,
-    controller_strategy,
     coordination_priority,
 )
 from conftest import cross_topology, mixed_phase_topology
@@ -331,22 +333,55 @@ def test_fixed_time_all_zero_split_raises():
         sel.select(topo, [0.0] * 4, Level3State.of([IntersectionState(0, 0)]))
 
 
-def test_controller_strategy_builds_matching_selector():
-    topo = cross_topology()
-    hca = controller_strategy(SimConfig(topo, alpha=0.7, strategy="hca"))
-    assert isinstance(hca, AdaptiveSelector) and hca.alpha == 0.7
-    bp = controller_strategy(SimConfig(topo, alpha=0.7, strategy="backpressure"))
-    assert isinstance(bp, AdaptiveSelector) and bp.alpha == 0.0
-    ft = controller_strategy(
-        SimConfig(topo, strategy="fixed_time", fixed_time_split=(20, 10))
-    )
+def test_simulation_builds_matching_selector():
+    # a weight per node, copy by copy; backpressure's is 0
+    hca = grid_config(roads_per_direction=2, alpha=0.7, strategy="hca")
+    bp = replace(hca, strategy="backpressure")
+    for configs, weights in (
+        (hca, [0.7] * 4),
+        (bp, [0.0] * 4),
+        ([bp, hca, bp], [0.0] * 4 + [0.7] * 4 + [0.0] * 4),
+    ):
+        sel = Simulation(configs).selector
+        assert isinstance(sel, AdaptiveSelector) and sel.alpha.tolist() == weights
+    ft = Simulation(replace(hca, strategy="fixed_time", fixed_time_split=(20, 10))).selector
     assert isinstance(ft, FixedTimeSelector) and ft.split == (20, 10)
 
 
-def test_controller_strategy_passes_min_green():
-    topo = cross_topology()
-    sel = controller_strategy(SimConfig(topo, strategy="hca", min_green=7))
+def test_simulation_passes_min_green_to_its_selector():
+    sel = Simulation(SimConfig(cross_topology(), strategy="hca", min_green=7)).selector
     assert isinstance(sel, AdaptiveSelector) and sel.min_green == 7
+
+
+@pytest.mark.parametrize(
+    "copies, coordinates",
+    [
+        ([("backpressure", 1.0)], False),
+        ([("hca", 0.0)], False),
+        ([("hca", 1.0)], True),
+        ([("backpressure", 1.0)] * 3, False),
+        ([("backpressure", 1.0), ("hca", 0.0)], False),
+        ([("backpressure", 1.0), ("hca", 0.5), ("backpressure", 1.0)], True),
+    ],
+    ids=["bp", "hca-0", "hca-1", "bp-batch", "bp-hca-0-batch", "bp-hca-batch"],
+)
+def test_coordination_runs_every_step_exactly_when_some_weight_is_not_zero(
+    monkeypatch, copies, coordinates
+):
+    calls = []
+    coordination = hcasim.signals._coordination
+
+    def counted(*args):
+        calls.append(args)
+        return coordination(*args)
+
+    monkeypatch.setattr(hcasim.signals, "_coordination", counted)
+    sim = Simulation(
+        [grid_config(q=0.2, seed=i, strategy=s, alpha=a) for i, (s, a) in enumerate(copies)]
+    )
+    for _ in range(10):
+        sim.step()
+    assert len(calls) == (10 if coordinates else 0)
 
 
 # --- array kernels against the scalar rules -----------------------------------

@@ -167,4 +167,3 @@ class FixedTimeSelector:
         if np.count_nonzero(hold) == hold.size:
             return Level3State(pi, held)
         return Level3State(np.where(hold, pi, following.take(at)), np.where(hold, held, 0))
-

@@ -7,9 +7,9 @@ call; the compare workload rebinds ``run_many`` with a wrapper of a
 fixed signature; the benchmark's modules import a few package names
 directly.  A rename, a signature change or a selector that rewrote its
 input would break ``perfbench/run.py --trace 1`` without any test of the
-package noticing.  The tracer's ``lanes.signal_s`` spans the signal lookup, which
-the step must reach through the engine's ``apply_signal_indications``.  The
-compare workload also expects one ``run_many`` call per cell, returning
+package noticing.  The tracer's ``lanes.signal_s`` spans the signal
+lookup, which the step must reach through the engine's
+``apply_signal_indications``.  The compare workload also expects one ``run_many`` call per cell, returning
 that cell's records in seed order.  The tracer module is only loaded here,
 never instrumented, because instrumenting rebinds hcasim globally.
 

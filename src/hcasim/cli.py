@@ -94,13 +94,13 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
         args.jobs = cores
     out, trace = getattr(args, "out", None), getattr(args, "trace", None)
     outputs = [("--out", out), ("--trace", trace)]
-    if out is not None and trace is not None and os.path.realpath(out) == os.path.realpath(trace):
-        raise ConfigError(f"--out {out} and --trace {trace}: the same file")
     if getattr(args, "runs", None) is not None:  # sweep and compare write a meta file too
         outputs.append((f"--out {args.out}: meta file", f"{args.out}.meta.json"))
     for label, path in outputs:
         if path is None:
             continue
+        if not path:
+            raise ConfigError(f"{label}: empty path")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"{label} {path}: directory does not exist")
@@ -108,6 +108,8 @@ def _base_config(args: argparse.Namespace) -> SimConfig:
             raise ConfigError(f"{label} {path}: is a directory")
         if not os.access(path if os.path.exists(path) else folder, os.W_OK):
             raise ConfigError(f"{label} {path}: not writable")
+    if out is not None and trace is not None and os.path.realpath(out) == os.path.realpath(trace):
+        raise ConfigError(f"--out {out} and --trace {trace}: the same file")
     scenario = args.scenario
     if scenario in SCENARIOS:
         cfg = SCENARIOS[scenario]()

@@ -94,16 +94,16 @@ class MetricsRecord:
 class Simulation:
     """Owns the mutable state of a run and advances it step by step.
 
-    With ``seeds`` it is the runs of ``config`` at each seed instead: they
+    ``config`` may also be a sequence of configs, one per copy: their runs
     step together on a network of disjoint copies of the topology, one copy
-    and one :class:`RngStream` per seed, and :meth:`records` equal those of
-    the runs alone.  ``config`` may also be a sequence of one config per
-    copy, each run at its own ``seed`` unless ``seeds`` names them.  Such
-    configs may differ in their arrival intensities (``q`` and
+    and one :class:`RngStream` per config, each at its config's ``seed``,
+    and :meth:`records` equal those of the runs alone.  Such configs may
+    differ in ``seed``, in their arrival intensities (``q`` and
     ``entry_intensities``), in ``alpha`` and in ``strategy`` between
     ``backpressure`` and ``hca``; a difference in any other field raises
-    :class:`ConfigError` naming it.  :attr:`config` is then the first copy's
-    config, and :attr:`configs` holds each copy's.
+    :class:`ConfigError` naming it, and an item that is not a
+    :class:`SimConfig` raises :class:`TypeError`.  :attr:`config` is then
+    the first copy's config, and :attr:`configs` holds each copy's.
 
     To set the phases between steps, assign a new :attr:`node_states`: the
     step reuses its signal bits while the ``pi`` array is the same object,
@@ -115,38 +115,25 @@ class Simulation:
     state, the counters and the random streams as they were.
     """
 
-    def __init__(
-        self,
-        config: SimConfig | Sequence[SimConfig],
-        check_invariants: bool = False,
-        *,
-        seeds: Sequence[int] | None = None,
-    ):
+    def __init__(self, config: SimConfig | Sequence[SimConfig], check_invariants: bool = False):
         configs = (config,) if isinstance(config, SimConfig) else tuple(config)
         if not configs:
             raise ValueError("config: empty sequence: must name at least one config")
-        seeds = tuple(c.seed for c in configs) if seeds is None else tuple(seeds)
-        if not seeds:
-            raise ValueError("seeds=(): must name at least one seed")
-        for i, seed in enumerate(seeds):
-            check_integer(f"seeds[{i}]", seed, 0)
-        if isinstance(config, SimConfig):
-            configs *= len(seeds)
-        elif len(configs) != len(seeds):
-            raise ValueError(f"{len(seeds)} seeds for {len(configs)} configs")
+        for i, c in enumerate(configs):
+            if not isinstance(c, SimConfig):
+                raise TypeError(f"config[{i}]: {type(c).__name__} given, SimConfig needed")
         config = configs[0]
         _check_shared(configs)
         report = validate_topology(config.topology)
         if report:
             raise ConfigError("invalid topology: " + "; ".join(report))
-        replicas = len(seeds)
+        replicas = len(configs)
         self.config = config
         self.configs = configs
-        self.seeds = seeds
         self.topology = replicate(config.topology, replicas)
         self.check_invariants = check_invariants
         self.state = Level1Arrays(self.topology, replicas)
-        self.rngs = [RngStream(seed) for seed in seeds]
+        self.rngs = [RngStream(c.seed) for c in configs]
         intensities = [x for c in configs for x in c.resolved_intensities()]
         self.injector = InjectionProcess(self.topology, intensities, replicas)
         if config.strategy == "fixed_time":
@@ -168,7 +155,7 @@ class Simulation:
         self._lit_pi: np.ndarray | None = None
         self._bits: np.ndarray | None = None
         self.t = 0
-        # per replica, in seed order
+        # per copy, in config order
         self.total_stop_delay = np.zeros(replicas, dtype=np.intp)
         self.removed_total = np.zeros(replicas, dtype=np.intp)
         self.last_stopped = np.zeros(replicas, dtype=np.intp)
@@ -222,7 +209,7 @@ class Simulation:
         on_road = self.state.per_replica(self.state.data[0])
         for r in np.flatnonzero(injected != removed + on_road).tolist():
             report.append(
-                f"seed {self.seeds[r]}: conservation: injected {injected[r]} != removed "
+                f"seed {self.configs[r].seed}: conservation: injected {injected[r]} != removed "
                 f"{removed[r]} + on-road {on_road[r]}"
             )
         pi, tau = self.node_states.pi, self.node_states.tau
@@ -235,15 +222,15 @@ class Simulation:
             raise SimulationError(f"step {self.t}: " + "; ".join(report))
 
     def records(self) -> list[MetricsRecord]:
-        """End-of-run summary of each replica, in seed order, each with the
-        digest of its own config."""
-        digests = {key: config_digest(c) for key, c in {id(c): c for c in self.configs}.items()}
+        """End-of-run summary of each copy, in config order, each with the
+        seed and digest of its own config."""
         on_road = self.state.per_replica(self.state.data[0])
         return [
-            MetricsRecord(delay, injected, removed, left, self.t, seed, digests[id(config)])
-            for config, seed, injected, delay, removed, left in zip(
+            MetricsRecord(
+                delay, injected, removed, left, self.t, int(config.seed), config_digest(config)
+            )
+            for config, injected, delay, removed, left in zip(
                 self.configs,
-                self.seeds,
                 self.injector.next_id.tolist(),
                 self.total_stop_delay.tolist(),
                 self.removed_total.tolist(),
@@ -284,11 +271,10 @@ def run(
     return record
 
 
-def run_batch(runs: Sequence[tuple[SimConfig, int]]) -> list[MetricsRecord]:
-    """``run(replace(config, seed=seed))`` for each ``(config, seed)`` of
-    ``runs``, in order, stepped as one :class:`Simulation`, whose rules say
-    which configs may share one."""
-    sim = Simulation([config for config, _ in runs], seeds=[seed for _, seed in runs])
+def run_batch(configs: Sequence[SimConfig]) -> list[MetricsRecord]:
+    """``run(config)`` for each of ``configs``, in order, stepped as one
+    :class:`Simulation`, whose rules say which configs may share one."""
+    sim = Simulation(configs)
     for _ in range(sim.config.horizon):
         sim.step()
     return sim.records()

@@ -173,11 +173,12 @@ def _cancel_later(futures: Sequence[Future], k: int, batch: Future) -> None:
 def _planned(cells: Sequence[tuple[SimConfig, int]], runs: int, jobs: int) -> Iterator[_Plan]:
     """The plan of each ``(config, first seed)`` cell's ``runs`` seeds.
 
-    The experiment's runs, cell after cell and seed after seed, are cut
-    into contiguous batches of near-equal size: ``min(jobs, runs in all)``
-    of them, so that every worker gets one, or more when that many would
-    hold over ``_MAX_BATCH_RUNS`` runs each.  A batch may hold several
-    cells, and parts of cells, whose configs differ in ``q``, ``alpha`` or
+    Run ``i`` of a cell is ``replace(config, seed=first seed + i)``.  The
+    experiment's runs, cell after cell and seed after seed, are cut into
+    contiguous batches of near-equal size: ``min(jobs, runs in all)`` of
+    them, so that every worker gets one, or more when that many would hold
+    over ``_MAX_BATCH_RUNS`` runs each.  A batch may hold several cells,
+    and parts of cells, whose configs differ in ``q``, ``alpha`` or
     strategy; it runs as one simulation of that many network copies
     (:func:`run_batch`).  With two or more batches and ``jobs``, every
     batch is submitted up front to one pool of ``min(jobs, batches)``
@@ -187,7 +188,7 @@ def _planned(cells: Sequence[tuple[SimConfig, int]], runs: int, jobs: int) -> It
     takes its records from every batch that holds some of its runs, so a
     failed batch fails each cell it holds.
     """
-    flat = [(config, seed0 + i) for config, seed0 in cells for i in range(runs)]
+    flat = [replace(config, seed=seed0 + i) for config, seed0 in cells for i in range(runs)]
     parts = max(min(jobs, len(flat)), -(-len(flat) // _MAX_BATCH_RUNS))
     batches = [flat[len(flat) * k // parts : len(flat) * (k + 1) // parts] for k in range(parts)]
     workers = min(jobs, parts)

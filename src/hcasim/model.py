@@ -465,18 +465,21 @@ def config_digest(config: SimConfig) -> str:
 
     Computed over the strategy-resolved behavior, so ``backpressure`` and
     ``hca`` with alpha=0 digest identically (they are the same controller).
-    The seed is excluded; it is recorded separately in run provenance.
+    Numbers are hashed by value, not by type: an alpha of ``0``, ``0.0``
+    or ``np.float64(0.0)`` digests alike, and so do a list and a tuple of
+    green times.  The seed is excluded; it is recorded separately in run
+    provenance.
     """
     if config.strategy == "fixed_time":
-        controller = f"fixed:{config.fixed_time_split!r}"
+        controller = f"fixed:{tuple(int(g) for g in config.fixed_time_split)!r}"
     else:
-        controller = f"adaptive:{config.effective_alpha()!r},{config.min_green}"
+        controller = f"adaptive:{float(config.effective_alpha())!r},{config.min_green}"
     blob = "|".join(
         [
             topology_digest(config.topology),
             f"v_max={config.v_max}",
-            f"p={config.p!r}",
-            f"q={config.resolved_intensities()!r}",
+            f"p={float(config.p)!r}",
+            f"q={tuple(float(x) for x in config.resolved_intensities())!r}",
             f"horizon={config.horizon}",
             f"stop_window={config.stop_window}",
             controller,

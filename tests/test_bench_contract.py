@@ -134,11 +134,11 @@ def test_run_many_positional_signature():
 
 def test_simulation_signature_and_its_one_seed_default():
     # child.py times Simulation(config); tests pass check_invariants second
+    # a copy runs at its config's seed, whether alone or in a list of one
     params = inspect.signature(Simulation.__init__).parameters
-    assert list(params) == ["self", "config", "check_invariants", "seeds"]
-    assert params["seeds"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert list(params) == ["self", "config", "check_invariants"]
     cfg = grid_config(q=0.2, horizon=30, seed=4)
-    sims = [Simulation(cfg), Simulation(cfg, seeds=(cfg.seed,))]
+    sims = [Simulation(cfg), Simulation([cfg])]
     for sim in sims:
         for _ in range(cfg.horizon):
             sim.step()

@@ -224,6 +224,22 @@ def test_output_naming_a_directory_is_config_error(argv, capsys, no_runs):
     assert "config error" in err and ": is a directory" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--steps", "5", "--out", ""], "--out"),
+        (["run", "--steps", "5", "--trace", ""], "--trace"),
+        (["run", "--steps", "5", "--out", "", "--trace", ""], "--out"),
+        (["sweep", "--runs", "2", "--jobs", "1", "--out", ""], "--out"),
+        (["compare", "--q-list", "0.1", "--runs", "2", "--jobs", "1", "--out", ""], "--out"),
+    ],
+    ids=["run-out", "run-trace", "run-both", "sweep", "compare"],
+)
+def test_empty_output_path_is_config_error(argv, flag, capsys, no_runs):
+    assert main(argv) == 2
+    assert f"config error: {flag}: empty path" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trace", ["m.csv", "./m.csv", "link.csv"])
 def test_out_and_trace_naming_one_file_is_config_error(trace, tmp_path, capsys, no_runs):
     # the trace would overwrite the metrics row, or the row the trace
@@ -410,11 +426,11 @@ def _failing_at_cell(monkeypatch, n):
     at --jobs 1 the batches run in cell order."""
     calls = []
 
-    def run_or_fail(runs):
-        calls.append(runs)
+    def run_or_fail(configs):
+        calls.append(configs)
         if len(calls) == n:
             raise SimulationError(f"cell {n} broke")
-        return run_batch(runs)
+        return run_batch(configs)
 
     monkeypatch.setattr(hcasim.experiments, "_MAX_BATCH_RUNS", 2)
     monkeypatch.setattr(hcasim.experiments, "run_batch", run_or_fail)

@@ -47,6 +47,7 @@ from conftest import (
     ring_simulation,
     ring_topology,
     state_with,
+    with_seeds,
 )
 
 
@@ -103,20 +104,26 @@ def test_simulation_rejects_invalid_topology(cross):
         Simulation(bad)
 
 
-def test_empty_seed_list_is_rejected_before_any_state(cross):
+def test_a_copy_that_is_not_a_config_is_refused_before_any_state(cross):
     bad = SimConfig(cross)
-    object.__setattr__(bad, "topology", None)  # not validated: seeds are checked first
-    with pytest.raises(ValueError, match="seeds"):
-        Simulation(bad, seeds=[])
-    # so is a seed numpy's SeedSequence would refuse
-    for seeds, message in (
-        ([-1], "seeds[0]=-1: must be >= 0"),
-        ([3, 1.5], "seeds[1]: 1.5 is not an integer"),
-        (["7"], "seeds[0]: '7' is not an integer"),
+    object.__setattr__(bad, "topology", None)  # not validated: the copies are checked first
+    for configs, message in (
+        ([bad, (bad, 1)], "config[1]: tuple given, SimConfig needed"),
+        ([(bad, 1)], "config[0]: tuple given, SimConfig needed"),
+        (["grid"], "config[0]: str given, SimConfig needed"),
+    ):
+        for start in (Simulation, run_batch):
+            with pytest.raises(TypeError, match=re.escape(message)):
+                start(configs)
+    # a copy's seed is its config's, checked as numpy's SeedSequence needs
+    for seed, message in (
+        (-1, "seed=-1: must be >= 0"),
+        (1.5, "seed: 1.5 is not an integer"),
+        ("7", "seed: '7' is not an integer"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
-            Simulation(bad, seeds=seeds)
-    Simulation(SimConfig(cross), seeds=[np.int64(0), np.uint8(5)])
+            SimConfig(cross, seed=seed)
+    Simulation([SimConfig(cross, seed=np.int64(0)), SimConfig(cross, seed=np.uint8(5))])
 
 
 def test_run_batch_rejects_an_empty_run_list(cross):
@@ -126,11 +133,11 @@ def test_run_batch_rejects_an_empty_run_list(cross):
             empty()
 
 
-def test_a_config_per_copy_needs_a_seed_per_copy(cross):
+def test_each_copy_runs_at_its_own_configs_seed(cross):
     configs = [SimConfig(cross, seed=3), SimConfig(cross, q=0.2, seed=4)]
-    assert Simulation(configs).seeds == (3, 4)
-    with pytest.raises(ValueError, match="3 seeds for 2 configs"):
-        Simulation(configs, seeds=[1, 2, 3])
+    sim = Simulation(configs)
+    assert [rng.seed for rng in sim.rngs] == [3, 4]
+    assert [rec.seed for rec in sim.records()] == [3, 4]
 
 
 # every copy of a batch that mixes demand, weight and adaptive strategy ends
@@ -150,25 +157,25 @@ MIXED = {
 @pytest.mark.parametrize("make", MIXED.values(), ids=MIXED)
 def test_a_mixed_batch_gives_each_copy_the_record_of_its_run_alone(make):
     base = make()
-    runs = [
-        (replace(base, q=q, strategy=strategy, alpha=alpha), base.seed + k)
+    configs = [
+        replace(base, q=q, strategy=strategy, alpha=alpha, seed=base.seed + k)
         for k, (q, strategy, alpha) in enumerate([
             (0.05, "backpressure", 1.0), (0.15, "hca", 1.0), (0.05, "hca", 0.0),
             (0.3, "hca", 2.5), (0.15, "backpressure", 0.0), (0.05, "hca", 1.0),
         ])
     ]
-    alone = [run(replace(config, seed=seed)) for config, seed in runs]
-    assert run_batch(runs) == alone
+    alone = [run(config) for config in configs]
+    assert run_batch(configs) == alone
     assert len({rec.config_digest for rec in alone}) == 5
 
 
 def test_a_fixed_time_batch_mixes_demand_but_no_adaptive_copy():
     base = arterial_config(strategy="fixed_time", fixed_time_split=(7, 3), horizon=120, seed=2)
-    runs = [(base, 2), (replace(base, q=0.3, alpha=0.0), 3)]
-    assert run_batch(runs) == [run(replace(config, seed=seed)) for config, seed in runs]
+    configs = [base, replace(base, q=0.3, alpha=0.0, seed=3)]
+    assert run_batch(configs) == [run(config) for config in configs]
     for strategy in ("hca", "backpressure"):
         with pytest.raises(ConfigError, match=f"differ in strategy: fixed_time and {strategy}"):
-            run_batch(runs + [(replace(base, strategy=strategy), 4)])
+            run_batch(configs + [replace(base, strategy=strategy, seed=4)])
 
 
 @pytest.mark.parametrize(
@@ -185,11 +192,10 @@ def test_a_fixed_time_batch_mixes_demand_but_no_adaptive_copy():
 )
 def test_copies_that_differ_in_a_shared_field_are_refused(field, value):
     base = grid_config(horizon=30)
-    runs = [(base, 1), (replace(base, q=0.2), 2), (replace(base, **{field: value}), 3)]
-    with pytest.raises(ConfigError, match=f"configs differ in {field}:"):
-        run_batch(runs)
-    with pytest.raises(ConfigError, match=f"configs differ in {field}:"):
-        Simulation([config for config, _ in runs])
+    configs = [base, replace(base, q=0.2, seed=2), replace(base, **{field: value}, seed=3)]
+    for start in (run_batch, Simulation):
+        with pytest.raises(ConfigError, match=f"configs differ in {field}:"):
+            start(configs)
 
 
 @st.composite
@@ -258,7 +264,7 @@ def test_a_refused_phase_leaves_the_run_as_it_was(strategy):
     split = (20, 20) if strategy == "fixed_time" else None
     cfg = grid_config(q=0.3, horizon=12, seed=1, strategy=strategy, fixed_time_split=split)
     for form, sim, _ in alone_and_in_batch(cfg):
-        untouched = Simulation(sim.configs, seeds=sim.seeds)
+        untouched = Simulation(sim.configs)
         for _ in range(5):
             sim.step()
             untouched.step()
@@ -494,17 +500,16 @@ def _lockstep(cfg: SimConfig, steps: int, seeds: range | None = None) -> None:
     """Step ``cfg`` and the reference together and compare every lane, node,
     signal and the delay after each step: ``cfg`` alone, as replica 1 of
     three seeds and as replica 1 of three configs, each copy of the last
-    against a reference of its own; or with ``seeds``, one batch of them with
-    a reference per seed."""
+    against a reference of its own; or with ``seeds``, one batch of ``cfg``
+    at each of them with a reference per seed."""
     nodes = cfg.topology.n_intersections
     if seeds is None:
         forms = [(form, sim, {r: cfg}) for form, sim, r in alone_and_in_batch(cfg, True)]
         form, mixed, _ = forms.pop()
-        copies = zip(mixed_with(cfg), mixed.seeds)
-        forms.append((form, mixed, {r: replace(c, seed=s) for r, (c, s) in enumerate(copies)}))
+        forms.append((form, mixed, dict(enumerate(mixed.configs))))
     else:
-        batch = Simulation(cfg, True, seeds=seeds)
-        forms = [("batch", batch, {r: replace(cfg, seed=s) for r, s in enumerate(seeds)})]
+        batch = Simulation(with_seeds(cfg, seeds), True)
+        forms = [("batch", batch, dict(enumerate(batch.configs)))]
     for form, sim, replicas in forms:
         refs = {r: RefSim(c.topology, **_ref_kwargs(c)) for r, c in replicas.items()}
         for t in range(steps):
@@ -717,8 +722,7 @@ def test_pinned_records_of_large_networks(make, expect):
 def _check_records(cfg: SimConfig, expect: MetricsRecord) -> None:
     # alone, and as replica 1 of a batch of other seeds, demand and weights
     assert run(cfg) == expect
-    seeds = (cfg.seed + 1, cfg.seed, cfg.seed + 2)
-    assert run_batch(list(zip(mixed_with(cfg), seeds)))[1] == expect
+    assert run_batch(mixed_with(cfg))[1] == expect
 
 
 def _trace_bytes(cfg: SimConfig, tmp_path) -> bytes:

@@ -9,10 +9,11 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from typing import get_type_hints
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
@@ -186,6 +187,13 @@ def test_run_many_explicit_base_seed():
     assert [r.seed for r in records] == [500, 501, 502]
 
 
+def test_records_of_a_numpy_base_seed_carry_python_ints():
+    # a numpy seed would make the record refuse to serialize
+    records = run_many(_tiny(horizon=5), 2, base_seed=np.int64(5))
+    assert [(r.seed, type(r.seed)) for r in records] == [(5, int), (6, int)]
+    json.dumps([asdict(r) for r in records])
+
+
 def test_run_many_rejects_zero_runs():
     with pytest.raises(ValueError, match="runs=0"):
         run_many(_tiny(), 0)
@@ -305,7 +313,7 @@ def test_an_experiment_submits_its_planned_batches(monkeypatch, cells, jobs, run
     sizes = _in_process_pools(monkeypatch, log)
     assert sweep_alpha(_tiny(), alphas, runs, "x", jobs) == serial
     assert sizes == pools
-    submitted = [[(cfg.alpha, seed) for cfg, seed in batch] for event, batch in log
+    submitted = [[(cfg.alpha, cfg.seed) for cfg in batch] for event, batch in log
                  if event == "submit"]
     every_run = [(a, seed) for a in alphas for seed in range(100, 100 + runs)]
     assert submitted == [every_run[lo:hi] for lo, hi in ranges]
@@ -324,7 +332,7 @@ def test_no_batch_holds_more_runs_than_the_cap(monkeypatch, runs, jobs, cap, siz
     monkeypatch.setattr(mod, "_MAX_BATCH_RUNS", cap)
     batches = []
     monkeypatch.setattr(mod, "run_batch", lambda batch: batches.append(batch) or [
-        hcasim.engine.MetricsRecord(0, 0, 0, 0, 1, seed, "") for _, seed in batch
+        hcasim.engine.MetricsRecord(0, 0, 0, 0, 1, cfg.seed, "") for cfg in batch
     ])
     _in_process_pools(monkeypatch)
     records = run_many(_tiny(), runs, jobs=jobs)
@@ -339,7 +347,7 @@ def test_every_cell_is_submitted_before_the_first_is_collected(monkeypatch):
     cells = [(0.1, "backpressure"), (0.1, "hca"), (0.3, "backpressure"), (0.3, "hca")]
     # two batches of six runs, each holding two whole cells
     halves = [[cell for cell in pair for _ in range(3)] for pair in (cells[:2], cells[2:])]
-    assert [(event, [(cfg.q, cfg.strategy) for cfg, _ in batch]) for event, batch in log] == (
+    assert [(event, [(cfg.q, cfg.strategy) for cfg in batch]) for event, batch in log] == (
         [("submit", half) for half in halves] + [("result", half) for half in halves]
     )
     assert [(r.q, r.variant) for r in rows] == cells
@@ -442,13 +450,13 @@ def test_sweep_alpha_is_pure():
 ALPHAS_RUN: list[float] = []
 
 
-def _fails_at_alpha_one(runs):
+def _fails_at_alpha_one(configs):
     # module level, so that a pool worker can unpickle it
-    alphas = list(dict.fromkeys(config.alpha for config, _ in runs))
+    alphas = list(dict.fromkeys(config.alpha for config in configs))
     ALPHAS_RUN.extend(alphas)
     if 1.0 in alphas:
         raise RuntimeError("disk full")
-    return run_batch(runs)
+    return run_batch(configs)
 
 
 def test_sweep_error_carries_partial_rows(monkeypatch):
@@ -497,16 +505,16 @@ def test_a_failed_cell_cancels_the_batches_not_started(monkeypatch):
     assert 3.0 not in ALPHAS_RUN
 
 
-def _logs_alpha_and_fails_at_one(runs):
+def _logs_alpha_and_fails_at_one(configs):
     # module level, so that a pool worker can unpickle it; the log file is
     # named in the environment, which every worker inherits
-    (alpha,) = {config.alpha for config, _ in runs}
+    (alpha,) = {config.alpha for config in configs}
     with open(os.environ["HCASIM_TEST_ALPHA_LOG"], "a") as fh:
         fh.write(f"{alpha}\n")
     if alpha == 1.0:
         raise RuntimeError("disk full")
     time.sleep(1.0 if alpha == 0.0 else 0.05)
-    return run_batch(runs)
+    return run_batch(configs)
 
 
 def test_a_failed_cell_stops_the_later_batches_of_a_real_pool(monkeypatch, tmp_path):

@@ -132,6 +132,25 @@ def test_config_digest_identifies_equal_dynamics(cross):
     assert config_digest(hca0) == config_digest(bp)
 
 
+def test_config_digest_ignores_the_numeric_type(cross):
+    bp = config_digest(SimConfig(topology=cross, strategy="backpressure"))
+    for zero in (0, 0.0, np.float64(0.0)):
+        assert config_digest(SimConfig(topology=cross, alpha=zero)) == bp
+    fixed = dict(topology=cross, strategy="fixed_time")
+    for given, plain in (
+        (dict(topology=cross, alpha=1), dict(topology=cross, alpha=1.0)),
+        (dict(topology=cross, q=np.float64(0.1)), dict(topology=cross, q=0.1)),
+        (dict(topology=cross, p=np.float32(0.5)), dict(topology=cross, p=0.5)),
+        (
+            dict(topology=cross, entry_intensities=[np.float64(0.3), None]),
+            dict(topology=cross, entry_intensities=(0.3, None)),
+        ),
+        (dict(fixed, fixed_time_split=[5, 5]), dict(fixed, fixed_time_split=(5, 5))),
+        (dict(fixed, fixed_time_split=(np.int64(5), 5)), dict(fixed, fixed_time_split=(5, 5))),
+    ):
+        assert config_digest(SimConfig(**given)) == config_digest(SimConfig(**plain)), given
+
+
 def test_config_digest_ignores_seed_but_not_dynamics(cross):
     a = SimConfig(topology=cross, seed=1)
     b = SimConfig(topology=cross, seed=99)
